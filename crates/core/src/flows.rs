@@ -164,7 +164,9 @@ mod tests {
     use v6brick_net::udp::{PseudoHeader, Repr as UdpRepr};
     use v6brick_net::{ipv6, Mac};
 
-    fn udp6(src: &str, sp: u16, dst: &str, dp: u16, n: usize) -> ParsedPacket {
+    /// A parsed UDP/IPv6 frame; the frame is leaked so the borrowed parse
+    /// can outlive the helper (a few bytes per test).
+    fn udp6(src: &str, sp: u16, dst: &str, dp: u16, n: usize) -> ParsedPacket<'static> {
         let src: Ipv6Addr = src.parse().unwrap();
         let dst: Ipv6Addr = dst.parse().unwrap();
         let u = UdpRepr {
@@ -187,7 +189,7 @@ mod tests {
             ethertype: EtherType::Ipv6,
         }
         .build(&ip);
-        ParsedPacket::parse(&frame).unwrap()
+        ParsedPacket::parse(frame.leak()).unwrap()
     }
 
     #[test]

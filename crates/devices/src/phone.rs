@@ -11,6 +11,7 @@ use v6brick_net::dns::{Message, Name, RecordType};
 use v6brick_net::ipv6::mcast;
 use v6brick_net::ndp::{NdpOption, Repr as Ndp};
 use v6brick_net::parse::{Net, ParsedPacket, L4};
+use v6brick_net::udp::PseudoHeader;
 use v6brick_net::{dhcpv4, icmpv6, Mac};
 use v6brick_sim::event::SimTime;
 use v6brick_sim::host::{Effects, Host};
@@ -135,15 +136,20 @@ impl Host for Phone {
                                 dhcpv4::Repr::client(dhcpv4::MessageType::Request, 0x9a, self.mac);
                             req.requested_ip = Some(msg.your_addr);
                             req.server_id = msg.server_id;
-                            fx.send_frame(wire::udp4_frame(
-                                self.mac,
-                                Mac::BROADCAST,
-                                Ipv4Addr::UNSPECIFIED,
-                                Ipv4Addr::BROADCAST,
-                                68,
-                                67,
-                                req.build(),
-                            ));
+                            fx.emit_frame(|f| {
+                                wire::udp_frame(
+                                    f,
+                                    self.mac,
+                                    Mac::BROADCAST,
+                                    PseudoHeader::V4 {
+                                        src: Ipv4Addr::UNSPECIFIED,
+                                        dst: Ipv4Addr::BROADCAST,
+                                    },
+                                    68,
+                                    67,
+                                    &req.build(),
+                                )
+                            });
                         }
                         dhcpv4::MessageType::Ack => {
                             self.v4_addr = Some(msg.your_addr);
@@ -180,13 +186,16 @@ impl Host for Phone {
                                 target: gua,
                                 options: vec![NdpOption::TargetLinkLayerAddr(self.mac)],
                             });
-                            fx.send_frame(wire::icmpv6_frame(
-                                self.mac,
-                                Mac::for_ipv6_multicast(mcast::ALL_NODES),
-                                gua,
-                                mcast::ALL_NODES,
-                                &na,
-                            ));
+                            fx.emit_frame(|f| {
+                                wire::icmpv6_frame(
+                                    f,
+                                    self.mac,
+                                    Mac::for_ipv6_multicast(mcast::ALL_NODES),
+                                    gua,
+                                    mcast::ALL_NODES,
+                                    &na,
+                                )
+                            });
                         }
                         NdpOption::Rdnss { servers, .. } => {
                             self.v6_dns = servers.clone();
@@ -227,24 +236,32 @@ impl Host for Phone {
             self.discover_sent = true;
             let mut d = dhcpv4::Repr::client(dhcpv4::MessageType::Discover, 0x9a, self.mac);
             d.hostname = Some(self.name.to_string());
-            fx.send_frame(wire::udp4_frame(
-                self.mac,
-                Mac::BROADCAST,
-                Ipv4Addr::UNSPECIFIED,
-                Ipv4Addr::BROADCAST,
-                68,
-                67,
-                d.build(),
-            ));
+            fx.emit_frame(|f| {
+                wire::udp_frame(
+                    f,
+                    self.mac,
+                    Mac::BROADCAST,
+                    PseudoHeader::V4 {
+                        src: Ipv4Addr::UNSPECIFIED,
+                        dst: Ipv4Addr::BROADCAST,
+                    },
+                    68,
+                    67,
+                    &d.build(),
+                )
+            });
             // And solicit routers.
             let rs = icmpv6::Repr::Ndp(Ndp::RouterSolicit { options: vec![] });
-            fx.send_frame(wire::icmpv6_frame(
-                self.mac,
-                Mac::for_ipv6_multicast(mcast::ALL_ROUTERS),
-                Ipv6Addr::UNSPECIFIED,
-                mcast::ALL_ROUTERS,
-                &rs,
-            ));
+            fx.emit_frame(|f| {
+                wire::icmpv6_frame(
+                    f,
+                    self.mac,
+                    Mac::for_ipv6_multicast(mcast::ALL_ROUTERS),
+                    Ipv6Addr::UNSPECIFIED,
+                    mcast::ALL_ROUTERS,
+                    &rs,
+                )
+            });
         }
         // Connectivity checks once transports are up.
         if self.tick >= 5 {
@@ -255,7 +272,17 @@ impl Host for Phone {
                     let id = 0x4a00 | (self.tick as u16 & 0xff);
                     self.pending.insert(id, RecordType::A);
                     let q = Message::query(id, self.canary.clone(), RecordType::A).build();
-                    fx.send_frame(wire::udp4_frame(self.mac, gw, src, dns, 40053, 53, q));
+                    fx.emit_frame(|f| {
+                        wire::udp_frame(
+                            f,
+                            self.mac,
+                            gw,
+                            PseudoHeader::V4 { src, dst: dns },
+                            40053,
+                            53,
+                            &q,
+                        )
+                    });
                 }
             }
             if let (Some(src), Some(&dns), Some(rm)) =
@@ -265,7 +292,17 @@ impl Host for Phone {
                     let id = 0x6a00 | (self.tick as u16 & 0xff);
                     self.pending.insert(id, RecordType::Aaaa);
                     let q = Message::query(id, self.canary.clone(), RecordType::Aaaa).build();
-                    fx.send_frame(wire::udp6_frame(self.mac, rm, src, dns, 40053, 53, q));
+                    fx.emit_frame(|f| {
+                        wire::udp_frame(
+                            f,
+                            self.mac,
+                            rm,
+                            PseudoHeader::V6 { src, dst: dns },
+                            40053,
+                            53,
+                            &q,
+                        )
+                    });
                 }
             }
         }

@@ -17,6 +17,7 @@ use v6brick_net::dns::{Message, Name, RecordType};
 use v6brick_net::ipv6::{mcast, Ipv6AddrExt};
 use v6brick_net::ndp::{NdpOption, Repr as Ndp};
 use v6brick_net::parse::{Net, ParsedPacket, L4};
+use v6brick_net::udp::PseudoHeader;
 use v6brick_net::{dhcpv4, dhcpv6, icmpv6, tcp, tls, Mac};
 use v6brick_sim::addrs as well_known;
 use v6brick_sim::event::SimTime;
@@ -447,13 +448,16 @@ impl IotDevice {
             options: vec![NdpOption::TargetLinkLayerAddr(self.profile.mac)],
         });
         let src = addr;
-        fx.send_frame(wire::icmpv6_frame(
-            self.profile.mac,
-            Mac::for_ipv6_multicast(mcast::ALL_NODES),
-            src,
-            mcast::ALL_NODES,
-            &na,
-        ));
+        fx.emit_frame(|f| {
+            wire::icmpv6_frame(
+                f,
+                self.profile.mac,
+                Mac::for_ipv6_multicast(mcast::ALL_NODES),
+                src,
+                mcast::ALL_NODES,
+                &na,
+            )
+        });
     }
 
     fn dad_probe(&self, target: Ipv6Addr, fx: &mut Effects) {
@@ -462,13 +466,16 @@ impl IotDevice {
             options: vec![],
         });
         let dst = target.solicited_node();
-        fx.send_frame(wire::icmpv6_frame(
-            self.profile.mac,
-            Mac::for_ipv6_multicast(dst),
-            Ipv6Addr::UNSPECIFIED,
-            dst,
-            &ns,
-        ));
+        fx.emit_frame(|f| {
+            wire::icmpv6_frame(
+                f,
+                self.profile.mac,
+                Mac::for_ipv6_multicast(dst),
+                Ipv6Addr::UNSPECIFIED,
+                dst,
+                &ns,
+            )
+        });
     }
 
     fn assign_with_dad(&mut self, addr: Ipv6Addr, is_global: bool, fx: &mut Effects) {
@@ -488,13 +495,16 @@ impl IotDevice {
             records: vec![(4, addr.solicited_node())],
         };
         let mld_dst: Ipv6Addr = Ipv6Addr::new(0xff02, 0, 0, 0, 0, 0, 0, 0x16);
-        fx.send_frame(wire::icmpv6_frame(
-            self.profile.mac,
-            Mac::for_ipv6_multicast(mld_dst),
-            Ipv6Addr::UNSPECIFIED,
-            mld_dst,
-            &report,
-        ));
+        fx.emit_frame(|f| {
+            wire::icmpv6_frame(
+                f,
+                self.profile.mac,
+                Mac::for_ipv6_multicast(mld_dst),
+                Ipv6Addr::UNSPECIFIED,
+                mld_dst,
+                &report,
+            )
+        });
         self.announce_addr(addr, fx);
     }
 
@@ -507,27 +517,35 @@ impl IotDevice {
             msg.requested_ip = self.v4_addr;
             msg.server_id = Some(well_known::ROUTER_IPV4);
         }
-        fx.send_frame(wire::udp4_frame(
-            self.profile.mac,
-            Mac::BROADCAST,
-            Ipv4Addr::UNSPECIFIED,
-            Ipv4Addr::BROADCAST,
-            68,
-            67,
-            msg.build(),
-        ));
+        fx.emit_frame(|f| {
+            wire::udp_frame(
+                f,
+                self.profile.mac,
+                Mac::BROADCAST,
+                PseudoHeader::V4 {
+                    src: Ipv4Addr::UNSPECIFIED,
+                    dst: Ipv4Addr::BROADCAST,
+                },
+                68,
+                67,
+                &msg.build(),
+            )
+        });
     }
 
     fn arp_for_gateway(&self, fx: &mut Effects) {
         let Some(my) = self.v4_addr else { return };
         let Some(gw) = self.v4_gateway else { return };
         let req = v6brick_net::arp::Repr::request(self.profile.mac, my, gw);
-        fx.send_frame(wire::eth_frame(
-            self.profile.mac,
-            Mac::BROADCAST,
-            v6brick_net::ethernet::EtherType::Arp,
-            &req.build(),
-        ));
+        fx.emit_frame(|f| {
+            wire::eth_frame(
+                f,
+                self.profile.mac,
+                Mac::BROADCAST,
+                v6brick_net::ethernet::EtherType::Arp,
+                &req.build(),
+            )
+        });
     }
 
     // --- IPv6 bringup --------------------------------------------------------
@@ -584,13 +602,16 @@ impl IotDevice {
             vec![NdpOption::SourceLinkLayerAddr(self.profile.mac)]
         };
         let rs = icmpv6::Repr::Ndp(Ndp::RouterSolicit { options });
-        fx.send_frame(wire::icmpv6_frame(
-            self.profile.mac,
-            Mac::for_ipv6_multicast(mcast::ALL_ROUTERS),
-            src,
-            mcast::ALL_ROUTERS,
-            &rs,
-        ));
+        fx.emit_frame(|f| {
+            wire::icmpv6_frame(
+                f,
+                self.profile.mac,
+                Mac::for_ipv6_multicast(mcast::ALL_ROUTERS),
+                src,
+                mcast::ALL_ROUTERS,
+                &rs,
+            )
+        });
         self.rs_sent += 1;
     }
 
@@ -679,15 +700,20 @@ impl IotDevice {
                 addresses: vec![],
             });
         }
-        fx.send_frame(wire::udp6_frame(
-            self.profile.mac,
-            Mac::for_ipv6_multicast(mcast::DHCPV6_SERVERS),
-            src,
-            mcast::DHCPV6_SERVERS,
-            546,
-            547,
-            msg.build(),
-        ));
+        fx.emit_frame(|f| {
+            wire::udp_frame(
+                f,
+                self.profile.mac,
+                Mac::for_ipv6_multicast(mcast::DHCPV6_SERVERS),
+                PseudoHeader::V6 {
+                    src,
+                    dst: mcast::DHCPV6_SERVERS,
+                },
+                546,
+                547,
+                &msg.build(),
+            )
+        });
     }
 
     fn duid(&self) -> Vec<u8> {
@@ -731,30 +757,34 @@ impl IotDevice {
             let (Some(src), Some(&server)) = (self.dns_src6(), self.v6_dns.first()) else {
                 return;
             };
-            fx.send_frame(wire::udp6_frame(
-                self.profile.mac,
-                self.router6(),
-                src,
-                server,
-                self.alloc_port(),
-                53,
-                query,
-            ));
+            fx.emit_frame(|f| {
+                wire::udp_frame(
+                    f,
+                    self.profile.mac,
+                    self.router6(),
+                    PseudoHeader::V6 { src, dst: server },
+                    self.alloc_port(),
+                    53,
+                    &query,
+                )
+            });
         } else {
             let (Some(src), Some(&server), Some(gw)) =
                 (self.v4_addr, self.v4_dns.first(), self.gateway_mac)
             else {
                 return;
             };
-            fx.send_frame(wire::udp4_frame(
-                self.profile.mac,
-                gw,
-                src,
-                server,
-                self.alloc_port(),
-                53,
-                query,
-            ));
+            fx.emit_frame(|f| {
+                wire::udp_frame(
+                    f,
+                    self.profile.mac,
+                    gw,
+                    PseudoHeader::V4 { src, dst: server },
+                    self.alloc_port(),
+                    53,
+                    &query,
+                )
+            });
         }
         let entry = self.asked.entry(key).or_insert((0, 0));
         entry.0 += 1;
@@ -1007,13 +1037,15 @@ impl IotDevice {
         let local = self.alloc_port();
         let seq = (self.seed as u32) ^ u32::from(local);
         let syn = tcp::Repr::syn(local, port, seq);
-        fx.send_frame(wire::tcp6_frame(
-            self.profile.mac,
-            self.router6(),
-            src,
-            target,
-            &syn,
-        ));
+        fx.emit_frame(|f| {
+            wire::tcp_frame(
+                f,
+                self.profile.mac,
+                self.router6(),
+                PseudoHeader::V6 { src, dst: target },
+                &syn,
+            )
+        });
         self.conns.insert(
             local,
             Conn {
@@ -1039,7 +1071,15 @@ impl IotDevice {
         let local = self.alloc_port();
         let seq = (self.seed as u32) ^ u32::from(local);
         let syn = tcp::Repr::syn(local, port, seq);
-        fx.send_frame(wire::tcp4_frame(self.profile.mac, gw, src, target, &syn));
+        fx.emit_frame(|f| {
+            wire::tcp_frame(
+                f,
+                self.profile.mac,
+                gw,
+                PseudoHeader::V4 { src, dst: target },
+                &syn,
+            )
+        });
         self.conns.insert(
             local,
             Conn {
@@ -1058,39 +1098,41 @@ impl IotDevice {
         );
     }
 
-    fn send_on_conn(&mut self, local: u16, payload: Vec<u8>, fx: &mut Effects) {
+    /// Send a TLS ClientHello for `domain` padded toward `size` bytes on
+    /// an open connection, written straight into the frame.
+    fn send_on_conn(&mut self, local: u16, domain: &Name, size: usize, fx: &mut Effects) {
         let Some(conn) = self.conns.get_mut(&local) else {
             return;
         };
-        let seg = tcp::Repr {
+        let header = tcp::Header {
             src_port: local,
             dst_port: conn.remote_port,
             seq: conn.seq,
             ack: conn.ack,
             flags: tcp::Flags::PSH | tcp::Flags::ACK,
             window: 0xffff,
-            payload,
         };
-        conn.seq = conn.seq.wrapping_add(seg.payload.len() as u32);
+        let hello_len = tls::client_hello_len(domain, size);
+        conn.seq = conn.seq.wrapping_add(hello_len as u32);
         conn.last_tx_tick = self.tick;
-        match conn.remote {
+        let (remote, src6) = (conn.remote, conn.src6);
+        let (dst_mac, ips) = match remote {
             IpAddr::V6(dst) => {
-                let src = conn.src6.unwrap_or(dst); // src6 always set for v6
-                fx.send_frame(wire::tcp6_frame(
-                    self.profile.mac,
-                    self.router6(),
-                    src,
-                    dst,
-                    &seg,
-                ));
+                let src = src6.unwrap_or(dst); // src6 always set for v6
+                (self.router6(), PseudoHeader::V6 { src, dst })
             }
             IpAddr::V4(dst) => {
                 let (Some(src), Some(gw)) = (self.v4_addr, self.gateway_mac) else {
                     return;
                 };
-                fx.send_frame(wire::tcp4_frame(self.profile.mac, gw, src, dst, &seg));
+                (gw, PseudoHeader::V4 { src, dst })
             }
-        }
+        };
+        fx.emit_frame(|f| {
+            let frame = wire::open_tcp(f, self.profile.mac, dst_mac, ips, &header);
+            tls::emit_client_hello(f, domain, size);
+            frame.close(f);
+        });
     }
 
     fn telemetry_round(&mut self, fx: &mut Effects) {
@@ -1150,8 +1192,7 @@ impl IotDevice {
             while remaining > 0 {
                 let chunk = remaining.min(12_000);
                 remaining -= chunk;
-                let payload = tls::client_hello(&domain, chunk);
-                self.send_on_conn(port, payload, fx);
+                self.send_on_conn(port, &domain, chunk, fx);
             }
         }
     }
@@ -1174,13 +1215,16 @@ impl IotDevice {
                     seq: 2,
                     payload: vec![0x71; 16],
                 };
-                fx.send_frame(wire::icmpv6_frame(
-                    self.profile.mac,
-                    self.router6(),
-                    src,
-                    well_known::DNS6_PRIMARY,
-                    &echo,
-                ));
+                fx.emit_frame(|f| {
+                    wire::icmpv6_frame(
+                        f,
+                        self.profile.mac,
+                        self.router6(),
+                        src,
+                        well_known::DNS6_PRIMARY,
+                        &echo,
+                    )
+                });
             }
         }
         if self.ntp_done {
@@ -1193,26 +1237,31 @@ impl IotDevice {
                 seq: 1,
                 payload: vec![0x70; 16],
             };
-            fx.send_frame(wire::icmpv6_frame(
-                self.profile.mac,
-                self.router6(),
-                src,
-                well_known::DNS6_PRIMARY,
-                &echo,
-            ));
+            fx.emit_frame(|f| {
+                wire::icmpv6_frame(
+                    f,
+                    self.profile.mac,
+                    self.router6(),
+                    src,
+                    well_known::DNS6_PRIMARY,
+                    &echo,
+                )
+            });
         } else if let (Some(src), Some(gw)) = (self.v4_addr, self.gateway_mac) {
             self.ntp_done = true;
             let (v4, _) = derive_addrs(&ntp_anycast());
             let port = self.alloc_port();
-            fx.send_frame(wire::udp4_frame(
-                self.profile.mac,
-                gw,
-                src,
-                v4,
-                port,
-                123,
-                vec![0x23; 48],
-            ));
+            fx.emit_frame(|f| {
+                wire::udp_frame(
+                    f,
+                    self.profile.mac,
+                    gw,
+                    PseudoHeader::V4 { src, dst: v4 },
+                    port,
+                    123,
+                    &[0x23; 48],
+                )
+            });
         }
     }
 
@@ -1232,15 +1281,20 @@ impl IotDevice {
                 Name::new(&format!("{}.local", self.profile.id.replace('_', "-"))).unwrap(),
             ),
         ));
-        fx.send_frame(wire::udp6_frame(
-            self.profile.mac,
-            Mac::for_ipv6_multicast(mcast::MDNS),
-            src,
-            mcast::MDNS,
-            5353,
-            5353,
-            msg.build(),
-        ));
+        fx.emit_frame(|f| {
+            wire::udp_frame(
+                f,
+                self.profile.mac,
+                Mac::for_ipv6_multicast(mcast::MDNS),
+                PseudoHeader::V6 {
+                    src,
+                    dst: mcast::MDNS,
+                },
+                5353,
+                5353,
+                &msg.build(),
+            )
+        });
     }
 
     fn churn_round(&mut self, t: u32, fx: &mut Effects) {
@@ -1289,12 +1343,15 @@ impl IotDevice {
                     && Some(arp.target_ip) == self.v4_addr
                 {
                     let reply = arp.reply_to(self.profile.mac);
-                    fx.send_frame(wire::eth_frame(
-                        self.profile.mac,
-                        p.eth.src,
-                        v6brick_net::ethernet::EtherType::Arp,
-                        &reply.build(),
-                    ));
+                    fx.emit_frame(|f| {
+                        wire::eth_frame(
+                            f,
+                            self.profile.mac,
+                            p.eth.src,
+                            v6brick_net::ethernet::EtherType::Arp,
+                            &reply.build(),
+                        )
+                    });
                 } else if arp.operation == v6brick_net::arp::Operation::Reply
                     && Some(arp.sender_ip) == self.v4_gateway
                 {
@@ -1438,13 +1495,7 @@ impl IotDevice {
                         target: *target,
                         options: vec![NdpOption::TargetLinkLayerAddr(self.profile.mac)],
                     });
-                    fx.send_frame(wire::icmpv6_frame(
-                        self.profile.mac,
-                        src_mac,
-                        *target,
-                        ip.src,
-                        &na,
-                    ));
+                    fx.emit_frame(|f| wire::icmpv6_frame(f, self.profile.mac, src_mac, *target, ip.src, &na));
                 }
             icmpv6::Repr::EchoRequest { ident, seq, payload } => {
                 // Reply from the pinged address (or the LLA on multicast
@@ -1462,7 +1513,7 @@ impl IotDevice {
                         seq: *seq,
                         payload: payload.clone(),
                     };
-                    fx.send_frame(wire::icmpv6_frame(self.profile.mac, src_mac, src, ip.src, &reply));
+                    fx.emit_frame(|f| wire::icmpv6_frame(f, self.profile.mac, src_mac, src, ip.src, &reply));
                 }
             }
             _ => {}
@@ -1485,37 +1536,37 @@ impl IotDevice {
         match (p.src_ip(), p.dst_ip()) {
             (Some(IpAddr::V6(peer)), Some(IpAddr::V6(me))) => {
                 if open {
-                    fx.send_frame(wire::udp6_frame(
-                        self.profile.mac,
-                        p.eth.src,
-                        me,
-                        peer,
-                        dst_port,
-                        src_port,
-                        vec![0x77; 16],
-                    ));
+                    fx.emit_frame(|f| {
+                        wire::udp_frame(
+                            f,
+                            self.profile.mac,
+                            p.eth.src,
+                            PseudoHeader::V6 { src: me, dst: peer },
+                            dst_port,
+                            src_port,
+                            &[0x77; 16],
+                        )
+                    });
                 } else {
                     // ICMPv6 port unreachable — the UDP scan "closed".
                     let unreachable = icmpv6::Repr::DstUnreachable { code: 4 };
-                    fx.send_frame(wire::icmpv6_frame(
-                        self.profile.mac,
-                        p.eth.src,
-                        me,
-                        peer,
-                        &unreachable,
-                    ));
+                    fx.emit_frame(|f| {
+                        wire::icmpv6_frame(f, self.profile.mac, p.eth.src, me, peer, &unreachable)
+                    });
                 }
             }
             (Some(IpAddr::V4(peer)), Some(IpAddr::V4(me))) if open => {
-                fx.send_frame(wire::udp4_frame(
-                    self.profile.mac,
-                    p.eth.src,
-                    me,
-                    peer,
-                    dst_port,
-                    src_port,
-                    vec![0x77; 16],
-                ));
+                fx.emit_frame(|f| {
+                    wire::udp_frame(
+                        f,
+                        self.profile.mac,
+                        p.eth.src,
+                        PseudoHeader::V4 { src: me, dst: peer },
+                        dst_port,
+                        src_port,
+                        &[0x77; 16],
+                    )
+                });
             }
             // (ICMPv4 port-unreachable omitted: the paper's UDP scans
             // focus on IPv6 exposure.)
@@ -1609,13 +1660,16 @@ impl Host for IotDevice {
         // from ::.
         if self.v6_started && !self.v6_full_addressing() && t.is_multiple_of(15) {
             let rs = icmpv6::Repr::Ndp(Ndp::RouterSolicit { options: vec![] });
-            fx.send_frame(wire::icmpv6_frame(
-                self.profile.mac,
-                Mac::for_ipv6_multicast(mcast::ALL_ROUTERS),
-                Ipv6Addr::UNSPECIFIED,
-                mcast::ALL_ROUTERS,
-                &rs,
-            ));
+            fx.emit_frame(|f| {
+                wire::icmpv6_frame(
+                    f,
+                    self.profile.mac,
+                    Mac::for_ipv6_multicast(mcast::ALL_ROUTERS),
+                    Ipv6Addr::UNSPECIFIED,
+                    mcast::ALL_ROUTERS,
+                    &rs,
+                )
+            });
         }
         // GUA late configuration for gua_requires_v4 devices.
         if self.v6_started && self.v6_full_addressing() {
@@ -1720,8 +1774,7 @@ impl IotDevice {
                     let port = *dst_port;
                     let was_v6 = conn.remote.is_ipv6();
                     let domain = conn.domain.clone();
-                    let hello = tls::client_hello(&domain, 200);
-                    self.send_on_conn(port, hello, fx);
+                    self.send_on_conn(port, &domain, 200, fx);
                     // A completed v6 handshake for a fallen-back domain
                     // means the v6 path recovered: the racing probe wins
                     // and the IPv4 leg is dropped (Table 9's switch back).
@@ -1781,22 +1834,26 @@ impl IotDevice {
             };
             match (p.src_ip(), p.dst_ip()) {
                 (Some(IpAddr::V6(peer)), Some(IpAddr::V6(me))) if self.owns_v6(me) => {
-                    fx.send_frame(wire::tcp6_frame(
-                        self.profile.mac,
-                        p.eth.src,
-                        me,
-                        peer,
-                        &reply,
-                    ));
+                    fx.emit_frame(|f| {
+                        wire::tcp_frame(
+                            f,
+                            self.profile.mac,
+                            p.eth.src,
+                            PseudoHeader::V6 { src: me, dst: peer },
+                            &reply,
+                        )
+                    });
                 }
                 (Some(IpAddr::V4(peer)), Some(IpAddr::V4(me))) if Some(me) == self.v4_addr => {
-                    fx.send_frame(wire::tcp4_frame(
-                        self.profile.mac,
-                        p.eth.src,
-                        me,
-                        peer,
-                        &reply,
-                    ));
+                    fx.emit_frame(|f| {
+                        wire::tcp_frame(
+                            f,
+                            self.profile.mac,
+                            p.eth.src,
+                            PseudoHeader::V4 { src: me, dst: peer },
+                            &reply,
+                        )
+                    });
                 }
                 _ => {}
             }
@@ -2074,13 +2131,20 @@ mod tests {
             window: 0xffff,
             payload: Vec::new(),
         };
-        let frame = wire::tcp6_frame(
-            well_known::ROUTER_MAC,
-            d.profile.mac,
-            v6_target,
-            conn6.src6.unwrap(),
-            &synack,
-        );
+        let frame = {
+            let mut f = Vec::new();
+            wire::tcp_frame(
+                &mut f,
+                well_known::ROUTER_MAC,
+                d.profile.mac,
+                PseudoHeader::V6 {
+                    src: v6_target,
+                    dst: conn6.src6.unwrap(),
+                },
+                &synack,
+            );
+            f
+        };
         let mut fx = Effects::new(&mut rng);
         d.on_frame(SimTime::from_secs(300), &frame, &mut fx);
         assert!(d.fallback.is_empty(), "v6 path recovered");

@@ -12,6 +12,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::net::{Ipv4Addr, Ipv6Addr};
 use v6brick_net::dns::{Message, Name, RecordType};
 use v6brick_net::parse::{Net, ParsedPacket, L4};
+use v6brick_net::udp::PseudoHeader;
 use v6brick_net::Mac;
 use v6brick_sim::event::SimTime;
 use v6brick_sim::host::{Effects, Host};
@@ -83,15 +84,20 @@ impl Prober {
             for rtype in [RecordType::A, RecordType::Aaaa] {
                 let txid = (idx as u16) << 1 | u16::from(rtype == RecordType::Aaaa);
                 let q = Message::query(txid, self.names[idx].clone(), rtype).build();
-                fx.send_frame(wire::udp4_frame(
-                    self.mac,
-                    addrs::ROUTER_MAC,
-                    self.addr,
-                    addrs::DNS4_PRIMARY,
-                    33000 + (idx % 16000) as u16,
-                    53,
-                    q,
-                ));
+                fx.emit_frame(|f| {
+                    wire::udp_frame(
+                        f,
+                        self.mac,
+                        addrs::ROUTER_MAC,
+                        PseudoHeader::V4 {
+                            src: self.addr,
+                            dst: addrs::DNS4_PRIMARY,
+                        },
+                        33000 + (idx % 16000) as u16,
+                        53,
+                        &q,
+                    )
+                });
                 self.pending.insert(txid, (idx, rtype));
             }
             sent += 1;

@@ -16,6 +16,7 @@ use v6brick_devices::profile::DeviceProfile;
 use v6brick_devices::stack::IotDevice;
 use v6brick_net::ipv6::mcast;
 use v6brick_net::parse::{ParsedPacket, L4};
+use v6brick_net::udp::PseudoHeader;
 use v6brick_net::{icmpv6, tcp, Mac};
 use v6brick_sim::event::SimTime;
 use v6brick_sim::host::{Effects, Host};
@@ -155,36 +156,64 @@ impl Scanner {
         let sport = 33_000 + (port % 32_000);
         let syn = tcp::Repr::syn(sport, port, u32::from(port) ^ 0x5ca9);
         match ip {
-            IpAddr::V6(dst) => {
-                fx.send_frame(wire::tcp6_frame(self.mac, dmac, self.addr6, dst, &syn))
-            }
-            IpAddr::V4(dst) => {
-                fx.send_frame(wire::tcp4_frame(self.mac, dmac, self.addr4, dst, &syn))
-            }
+            IpAddr::V6(dst) => fx.emit_frame(|f| {
+                wire::tcp_frame(
+                    f,
+                    self.mac,
+                    dmac,
+                    PseudoHeader::V6 {
+                        src: self.addr6,
+                        dst,
+                    },
+                    &syn,
+                )
+            }),
+            IpAddr::V4(dst) => fx.emit_frame(|f| {
+                wire::tcp_frame(
+                    f,
+                    self.mac,
+                    dmac,
+                    PseudoHeader::V4 {
+                        src: self.addr4,
+                        dst,
+                    },
+                    &syn,
+                )
+            }),
         }
     }
 
     fn send_udp_probe(&mut self, ip: IpAddr, dmac: Mac, port: u16, fx: &mut Effects) {
         let sport = 33_000 + (port % 32_000);
         match ip {
-            IpAddr::V6(dst) => fx.send_frame(wire::udp6_frame(
-                self.mac,
-                dmac,
-                self.addr6,
-                dst,
-                sport,
-                port,
-                b"probe".to_vec(),
-            )),
-            IpAddr::V4(dst) => fx.send_frame(wire::udp4_frame(
-                self.mac,
-                dmac,
-                self.addr4,
-                dst,
-                sport,
-                port,
-                b"probe".to_vec(),
-            )),
+            IpAddr::V6(dst) => fx.emit_frame(|f| {
+                wire::udp_frame(
+                    f,
+                    self.mac,
+                    dmac,
+                    PseudoHeader::V6 {
+                        src: self.addr6,
+                        dst,
+                    },
+                    sport,
+                    port,
+                    b"probe",
+                )
+            }),
+            IpAddr::V4(dst) => fx.emit_frame(|f| {
+                wire::udp_frame(
+                    f,
+                    self.mac,
+                    dmac,
+                    PseudoHeader::V4 {
+                        src: self.addr4,
+                        dst,
+                    },
+                    sport,
+                    port,
+                    b"probe",
+                )
+            }),
         }
     }
 }
@@ -241,13 +270,16 @@ impl Host for Scanner {
                 seq: 1,
                 payload: vec![],
             };
-            fx.send_frame(wire::icmpv6_frame(
-                self.mac,
-                Mac::for_ipv6_multicast(mcast::ALL_NODES),
-                self.addr6,
-                mcast::ALL_NODES,
-                &echo,
-            ));
+            fx.emit_frame(|f| {
+                wire::icmpv6_frame(
+                    f,
+                    self.mac,
+                    Mac::for_ipv6_multicast(mcast::ALL_NODES),
+                    self.addr6,
+                    mcast::ALL_NODES,
+                    &echo,
+                )
+            });
         }
         self.send_batch(fx);
         if !self.done {

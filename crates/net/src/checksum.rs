@@ -7,9 +7,15 @@ use std::net::{Ipv4Addr, Ipv6Addr};
 ///
 /// Data can be fed in pieces (pseudo-header, then header, then payload);
 /// each piece must be an even number of bytes except the last.
+///
+/// The sum is kept in a `u64`, so it cannot overflow on any buffer that
+/// fits in memory. Slices are summed 32 bits at a time in native byte
+/// order (RFC 1071 §2: the one's-complement sum is independent of word
+/// size and, up to a final byte swap, of byte order, because
+/// 2^16 ≡ 1 and a byte rotation is multiplication by 2^8 mod 0xffff).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct Checksum {
-    sum: u32,
+    sum: u64,
 }
 
 impl Checksum {
@@ -21,18 +27,26 @@ impl Checksum {
     /// Fold a byte slice into the sum. Odd-length slices are zero-padded,
     /// so only the final piece may be odd.
     pub fn add(&mut self, data: &[u8]) {
-        let mut chunks = data.chunks_exact(2);
-        for c in &mut chunks {
-            self.sum += u32::from(u16::from_be_bytes([c[0], c[1]]));
+        let mut words = data.chunks_exact(4);
+        let mut native: u64 = 0;
+        for w in &mut words {
+            native += u64::from(u32::from_ne_bytes([w[0], w[1], w[2], w[3]]));
         }
-        if let [last] = chunks.remainder() {
-            self.sum += u32::from(u16::from_be_bytes([*last, 0]));
+        // Fold the native-order partial sum to 16 bits and bring it to
+        // network order (a swap on little-endian hosts).
+        self.sum += u64::from(u16::from_be(fold(native)));
+        let mut tail = words.remainder().chunks_exact(2);
+        for c in &mut tail {
+            self.sum += u64::from(u16::from_be_bytes([c[0], c[1]]));
+        }
+        if let [last] = tail.remainder() {
+            self.sum += u64::from(u16::from_be_bytes([*last, 0]));
         }
     }
 
     /// Fold a single big-endian 16-bit word into the sum.
     pub fn add_u16(&mut self, v: u16) {
-        self.sum += u32::from(v);
+        self.sum += u64::from(v);
     }
 
     /// Fold a 32-bit value (as two words).
@@ -59,12 +73,17 @@ impl Checksum {
 
     /// Finish: fold carries and complement.
     pub fn finish(self) -> u16 {
-        let mut s = self.sum;
-        while s > 0xffff {
-            s = (s & 0xffff) + (s >> 16);
-        }
-        !(s as u16)
+        !fold(self.sum)
     }
+}
+
+/// Fold a sum of 16-bit words to 16 bits with end-around carries (zero
+/// stays zero; any other sum lands in `1..=0xffff`).
+fn fold(mut s: u64) -> u16 {
+    while s > 0xffff {
+        s = (s & 0xffff) + (s >> 16);
+    }
+    s as u16
 }
 
 /// One-shot checksum of a contiguous buffer.
@@ -120,6 +139,27 @@ mod tests {
         );
         b.add(b"hi");
         assert_ne!(a.finish(), b.finish());
+    }
+
+    #[test]
+    fn large_all_ones_buffer_matches_reference_fold() {
+        // 256 KiB of 0xff: twice the 131,074 bytes past which a 32-bit
+        // accumulator of 16-bit words overflows.
+        let data = vec![0xffu8; 256 * 1024];
+        let mut reference: u128 = 0;
+        for c in data.chunks(2) {
+            reference += u128::from(u16::from_be_bytes([c[0], c[1]]));
+        }
+        while reference > 0xffff {
+            reference = (reference & 0xffff) + (reference >> 16);
+        }
+        assert_eq!(checksum(&data), !(reference as u16));
+        // Fed in even-length pieces, the sum is the same.
+        let mut c = Checksum::new();
+        for piece in data.chunks(6) {
+            c.add(piece);
+        }
+        assert_eq!(c.finish(), !(reference as u16));
     }
 
     #[test]

@@ -100,6 +100,13 @@ impl<T: AsRef<[u8]>> Frame<T> {
     }
 }
 
+impl<'a> Frame<&'a [u8]> {
+    /// The layer-3 payload, borrowed for the buffer's whole lifetime.
+    pub fn into_payload(self) -> &'a [u8] {
+        &self.buffer[HEADER_LEN..]
+    }
+}
+
 impl<T: AsRef<[u8]> + AsMut<[u8]>> Frame<T> {
     /// Set the destination MAC.
     pub fn set_dst(&mut self, mac: Mac) {
@@ -155,12 +162,18 @@ impl Repr {
         frame.set_ethertype(self.ethertype);
     }
 
+    /// Append the header to `buf`; the layer-3 packet follows it.
+    pub fn emit_into(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(self.dst.as_bytes());
+        buf.extend_from_slice(self.src.as_bytes());
+        buf.extend_from_slice(&u16::from(self.ethertype).to_be_bytes());
+    }
+
     /// Build a full frame: header plus payload, as a fresh vector.
     pub fn build(&self, payload: &[u8]) -> Vec<u8> {
-        let mut buf = vec![0u8; HEADER_LEN + payload.len()];
-        let mut f = Frame::new_unchecked(&mut buf[..]);
-        self.emit(&mut f);
-        f.payload_mut().copy_from_slice(payload);
+        let mut buf = Vec::with_capacity(HEADER_LEN + payload.len());
+        self.emit_into(&mut buf);
+        buf.extend_from_slice(payload);
         buf
     }
 }

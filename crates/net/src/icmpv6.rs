@@ -5,6 +5,7 @@
 //! parse and emit need the enclosing source and destination addresses.
 
 use crate::checksum::Checksum;
+use crate::emit::Open;
 use crate::error::{Error, Result};
 use crate::ndp;
 use std::net::Ipv6Addr;
@@ -104,6 +105,14 @@ impl Repr {
     /// Serialize, computing the pseudo-header checksum.
     pub fn build(&self, src: Ipv6Addr, dst: Ipv6Addr) -> Vec<u8> {
         let mut b = Vec::with_capacity(64);
+        self.emit_into(&mut b, src, dst);
+        b
+    }
+
+    /// Append the message to `buf`, checksummed over the IPv6
+    /// pseudo-header for `src` → `dst`.
+    pub fn emit_into(&self, b: &mut Vec<u8>, src: Ipv6Addr, dst: Ipv6Addr) {
+        let open = Open::icmpv6(b.len(), src, dst);
         match self {
             Repr::EchoRequest {
                 ident,
@@ -130,7 +139,7 @@ impl Repr {
             }
             Repr::Ndp(n) => {
                 b.extend_from_slice(&[n.icmp_type(), 0, 0, 0]);
-                n.emit_body(&mut b);
+                n.emit_body(b);
             }
             Repr::Mldv2Report { records } => {
                 b.extend_from_slice(&[143, 0, 0, 0, 0, 0]);
@@ -143,12 +152,7 @@ impl Repr {
                 }
             }
         }
-        let mut c = Checksum::new();
-        c.add_ipv6_pseudo(src, dst, 58, b.len() as u32);
-        c.add(&b);
-        let sum = c.finish();
-        b[2..4].copy_from_slice(&sum.to_be_bytes());
-        b
+        open.close(b);
     }
 
     /// If this is an NDP message, borrow it.

@@ -1,6 +1,7 @@
 //! IPv4 headers (RFC 791).
 
 use crate::checksum;
+use crate::emit::Open;
 use crate::error::{Error, Result};
 use std::net::Ipv4Addr;
 
@@ -130,6 +131,14 @@ impl<T: AsRef<[u8]>> Packet<T> {
     }
 }
 
+impl<'a> Packet<&'a [u8]> {
+    /// The layer-4 payload, borrowed for the buffer's whole lifetime.
+    pub fn into_payload(self) -> &'a [u8] {
+        let (ihl, total) = (self.ihl(), usize::from(self.total_len()));
+        &self.buffer[ihl..total]
+    }
+}
+
 /// Owned representation of an IPv4 header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Repr {
@@ -157,29 +166,33 @@ impl Repr {
         }
     }
 
+    /// Append the header to `buf` with its total length and checksum
+    /// left for [`Open::close`], once the payload follows it. The
+    /// `payload_len` field is not consulted: the closed length covers
+    /// whatever was appended.
+    pub fn open(&self, buf: &mut Vec<u8>) -> Open {
+        let at = buf.len();
+        let mut h = [0u8; HEADER_LEN];
+        h[0] = 0x45;
+        h[8] = self.ttl;
+        h[9] = self.protocol.into();
+        h[12..16].copy_from_slice(&self.src.octets());
+        h[16..20].copy_from_slice(&self.dst.octets());
+        buf.extend_from_slice(&h);
+        Open::ipv4(at)
+    }
+
     /// Serialize header + payload into a fresh buffer, computing the header
     /// checksum.
     ///
     /// # Panics
     /// Totals beyond the 16-bit total-length field are a caller bug.
     pub fn build(&self, payload: &[u8]) -> Vec<u8> {
-        assert!(
-            HEADER_LEN + payload.len() <= usize::from(u16::MAX),
-            "ipv4 total length {} exceeds the length field",
-            HEADER_LEN + payload.len()
-        );
         debug_assert_eq!(self.payload_len, payload.len());
-        let total = HEADER_LEN + payload.len();
-        let mut b = vec![0u8; total];
-        b[0] = 0x45;
-        b[2..4].copy_from_slice(&(total as u16).to_be_bytes());
-        b[8] = self.ttl;
-        b[9] = self.protocol.into();
-        b[12..16].copy_from_slice(&self.src.octets());
-        b[16..20].copy_from_slice(&self.dst.octets());
-        let c = checksum::checksum(&b[..HEADER_LEN]);
-        b[10..12].copy_from_slice(&c.to_be_bytes());
-        b[HEADER_LEN..].copy_from_slice(payload);
+        let mut b = Vec::with_capacity(HEADER_LEN + payload.len());
+        let ip = self.open(&mut b);
+        b.extend_from_slice(payload);
+        ip.close(&mut b);
         b
     }
 }

@@ -3,6 +3,7 @@
 //! Unique Local Addresses (ULA), Link-Local Addresses (LLA), multicast
 //! scopes, and EUI-64 interface-identifier detection.
 
+use crate::emit::Open;
 use crate::error::{Error, Result};
 use crate::ipv4::Protocol;
 use crate::mac::Mac;
@@ -213,6 +214,14 @@ impl<T: AsRef<[u8]>> Packet<T> {
     }
 }
 
+impl<'a> Packet<&'a [u8]> {
+    /// The layer-4 payload, borrowed for the buffer's whole lifetime.
+    pub fn into_payload(self) -> &'a [u8] {
+        let plen = usize::from(self.payload_len());
+        &self.buffer[HEADER_LEN..HEADER_LEN + plen]
+    }
+}
+
 /// Owned representation of an IPv6 header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Repr {
@@ -240,26 +249,33 @@ impl Repr {
         }
     }
 
+    /// Append the header to `buf` with its payload length left for
+    /// [`Open::close`], once the payload follows it. The `payload_len`
+    /// field is not consulted: the closed length covers whatever was
+    /// appended.
+    pub fn open(&self, buf: &mut Vec<u8>) -> Open {
+        let at = buf.len();
+        let mut h = [0u8; HEADER_LEN];
+        h[0] = 0x60;
+        h[6] = self.next_header.into();
+        h[7] = self.hop_limit;
+        h[8..24].copy_from_slice(&self.src.octets());
+        h[24..40].copy_from_slice(&self.dst.octets());
+        buf.extend_from_slice(&h);
+        Open::ipv6(at)
+    }
+
     /// Serialize header + payload into a fresh buffer.
     ///
     /// # Panics
     /// Payloads beyond the 16-bit payload-length field are a caller bug
     /// (the simulator segments transport data well below this).
     pub fn build(&self, payload: &[u8]) -> Vec<u8> {
-        assert!(
-            payload.len() <= usize::from(u16::MAX),
-            "ipv6 payload {} exceeds the length field",
-            payload.len()
-        );
         debug_assert_eq!(self.payload_len, payload.len());
-        let mut b = vec![0u8; HEADER_LEN + payload.len()];
-        b[0] = 0x60;
-        b[4..6].copy_from_slice(&(payload.len() as u16).to_be_bytes());
-        b[6] = self.next_header.into();
-        b[7] = self.hop_limit;
-        b[8..24].copy_from_slice(&self.src.octets());
-        b[24..40].copy_from_slice(&self.dst.octets());
-        b[HEADER_LEN..].copy_from_slice(payload);
+        let mut b = Vec::with_capacity(HEADER_LEN + payload.len());
+        let ip = self.open(&mut b);
+        b.extend_from_slice(payload);
+        ip.close(&mut b);
         b
     }
 }

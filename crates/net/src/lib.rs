@@ -37,6 +37,7 @@ pub mod checksum;
 pub mod dhcpv4;
 pub mod dhcpv6;
 pub mod dns;
+pub mod emit;
 pub mod error;
 pub mod ethernet;
 pub mod icmpv4;

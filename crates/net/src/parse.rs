@@ -1,5 +1,10 @@
 //! Full-stack packet parsing: from raw Ethernet frame bytes to a typed
 //! summary the capture pipeline can classify without re-walking buffers.
+//!
+//! A [`ParsedPacket`] borrows the frame it was parsed from: UDP, TCP and
+//! ICMPv4 payloads are slices of the frame, never copies, so the capture
+//! tap and the receiving host each parse a bulk frame without touching
+//! its payload bytes.
 
 use crate::error::{Error, Result};
 use crate::ipv4::Protocol;
@@ -20,9 +25,9 @@ pub enum Net {
     Other(u16),
 }
 
-/// Layer-4 content of a frame.
+/// Layer-4 content of a frame, borrowing its payload from the frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum L4 {
+pub enum L4<'a> {
     /// Udp.
     Udp {
         /// Source port.
@@ -30,7 +35,7 @@ pub enum L4 {
         /// Destination port.
         dst_port: u16,
         /// Payload.
-        payload: Vec<u8>,
+        payload: &'a [u8],
     },
     /// Tcp.
     Tcp {
@@ -43,12 +48,12 @@ pub enum L4 {
         /// Payload length.
         payload_len: usize,
         /// Payload.
-        payload: Vec<u8>,
+        payload: &'a [u8],
     },
     /// Icmpv4.
     Icmpv4 {
         /// Raw body; decode with [`crate::icmpv4::Repr::parse_bytes`] on demand.
-        raw: Vec<u8>,
+        raw: &'a [u8],
     },
     /// Icmpv6.
     Icmpv6(icmpv6::Repr),
@@ -65,18 +70,18 @@ pub enum L4 {
 
 /// A frame parsed down to layer 4.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParsedPacket {
+pub struct ParsedPacket<'a> {
     /// Eth.
     pub eth: ethernet::Repr,
     /// Net.
     pub net: Net,
     /// L4.
-    pub l4: L4,
+    pub l4: L4<'a>,
 }
 
-impl ParsedPacket {
+impl<'a> ParsedPacket<'a> {
     /// Parse a raw Ethernet frame.
-    pub fn parse(frame: &[u8]) -> Result<ParsedPacket> {
+    pub fn parse(frame: &'a [u8]) -> Result<ParsedPacket<'a>> {
         let f = ethernet::Frame::new_checked(frame)?;
         let eth = ethernet::Repr::parse(&f);
         let (net, l4) = match eth.ethertype {
@@ -85,15 +90,15 @@ impl ParsedPacket {
                 (Net::Arp(a), L4::None)
             }
             ethernet::EtherType::Ipv4 => {
-                let p = ipv4::Packet::new_checked(f.payload())?;
+                let p = ipv4::Packet::new_checked(f.into_payload())?;
                 let repr = ipv4::Repr::parse(&p);
-                let l4 = parse_l4_v4(&repr, p.payload())?;
+                let l4 = parse_l4_v4(&repr, p.into_payload())?;
                 (Net::Ipv4(repr), l4)
             }
             ethernet::EtherType::Ipv6 => {
-                let p = ipv6::Packet::new_checked(f.payload())?;
+                let p = ipv6::Packet::new_checked(f.into_payload())?;
                 let repr = ipv6::Repr::parse(&p);
-                let l4 = parse_l4_v6(&repr, p.payload())?;
+                let l4 = parse_l4_v6(&repr, p.into_payload())?;
                 (Net::Ipv6(repr), l4)
             }
             ethernet::EtherType::Other(o) => (Net::Other(o), L4::None),
@@ -158,29 +163,29 @@ impl ParsedPacket {
     }
 }
 
-fn parse_l4_v4(ip: &ipv4::Repr, payload: &[u8]) -> Result<L4> {
+fn parse_l4_v4<'a>(ip: &ipv4::Repr, payload: &'a [u8]) -> Result<L4<'a>> {
     match ip.protocol {
         Protocol::Udp => {
             let u = udp::Packet::new_checked(payload)?;
             Ok(L4::Udp {
                 src_port: u.src_port(),
                 dst_port: u.dst_port(),
-                payload: u.payload().to_vec(),
+                payload: u.into_payload(),
             })
         }
         Protocol::Tcp => {
             let t = tcp::Packet::new_checked(payload)?;
+            let (src_port, dst_port, flags) = (t.src_port(), t.dst_port(), t.flags());
+            let payload = t.into_payload();
             Ok(L4::Tcp {
-                src_port: t.src_port(),
-                dst_port: t.dst_port(),
-                flags: t.flags(),
-                payload_len: t.payload().len(),
-                payload: t.payload().to_vec(),
+                src_port,
+                dst_port,
+                flags,
+                payload_len: payload.len(),
+                payload,
             })
         }
-        Protocol::Icmp => Ok(L4::Icmpv4 {
-            raw: payload.to_vec(),
-        }),
+        Protocol::Icmp => Ok(L4::Icmpv4 { raw: payload }),
         p => Ok(L4::Other {
             protocol: p.into(),
             payload_len: payload.len(),
@@ -218,7 +223,7 @@ fn skip_extension_headers(first: u8, payload: &[u8]) -> Result<(u8, usize)> {
     Err(Error::Malformed)
 }
 
-fn parse_l4_v6(ip: &ipv6::Repr, payload: &[u8]) -> Result<L4> {
+fn parse_l4_v6<'a>(ip: &ipv6::Repr, payload: &'a [u8]) -> Result<L4<'a>> {
     // Resolve extension headers first so MLD-with-router-alert and
     // similar real-world chains parse down to their actual L4.
     let (next, off) = skip_extension_headers(ip.next_header.into(), payload)?;
@@ -233,17 +238,19 @@ fn parse_l4_v6(ip: &ipv6::Repr, payload: &[u8]) -> Result<L4> {
             Ok(L4::Udp {
                 src_port: u.src_port(),
                 dst_port: u.dst_port(),
-                payload: u.payload().to_vec(),
+                payload: u.into_payload(),
             })
         }
         Protocol::Tcp => {
             let t = tcp::Packet::new_checked(payload)?;
+            let (src_port, dst_port, flags) = (t.src_port(), t.dst_port(), t.flags());
+            let payload = t.into_payload();
             Ok(L4::Tcp {
-                src_port: t.src_port(),
-                dst_port: t.dst_port(),
-                flags: t.flags(),
-                payload_len: t.payload().len(),
-                payload: t.payload().to_vec(),
+                src_port,
+                dst_port,
+                flags,
+                payload_len: payload.len(),
+                payload,
             })
         }
         Protocol::Icmpv6 => {
@@ -260,7 +267,7 @@ fn parse_l4_v6(ip: &ipv6::Repr, payload: &[u8]) -> Result<L4> {
 /// Parse a frame leniently: a frame whose L4 fails to decode (bad checksum,
 /// truncation) is still returned with [`L4::Other`] so capture statistics
 /// do not silently drop it.
-pub fn parse_lenient(frame: &[u8]) -> Result<ParsedPacket> {
+pub fn parse_lenient(frame: &[u8]) -> Result<ParsedPacket<'_>> {
     match ParsedPacket::parse(frame) {
         Ok(p) => Ok(p),
         Err(Error::Truncated)
@@ -337,7 +344,8 @@ mod tests {
 
     #[test]
     fn parse_v6_udp_stack() {
-        let p = ParsedPacket::parse(&v6_udp_frame()).unwrap();
+        let frame = v6_udp_frame();
+        let p = ParsedPacket::parse(&frame).unwrap();
         assert!(p.is_ipv6());
         assert_eq!(p.ports(), Some((5353, 5353)));
         assert_eq!(p.l4_payload(), Some(&b"mdns"[..]));

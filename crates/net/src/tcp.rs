@@ -6,6 +6,7 @@
 //! distinction nmap relies on.
 
 use crate::checksum::Checksum;
+use crate::emit::Open;
 use crate::error::{Error, Result};
 use std::fmt;
 use std::net::{Ipv4Addr, Ipv6Addr};
@@ -163,6 +164,14 @@ impl<T: AsRef<[u8]>> Packet<T> {
     }
 }
 
+impl<'a> Packet<&'a [u8]> {
+    /// Application payload, borrowed for the buffer's whole lifetime.
+    pub fn into_payload(self) -> &'a [u8] {
+        let off = self.data_offset();
+        &self.buffer[off..]
+    }
+}
+
 /// Owned representation of a TCP segment.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Repr {
@@ -185,16 +194,65 @@ pub struct Repr {
 /// Which pseudo-header to checksum against.
 pub use crate::udp::PseudoHeader;
 
-impl Repr {
-    /// Parse from a checked view, copying the payload.
-    pub fn parse<T: AsRef<[u8]>>(packet: &Packet<T>) -> Repr {
-        Repr {
+/// A TCP header without its payload: what the in-place emitter writes
+/// in front of data that is appended straight into the frame buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Header {
+    /// Source port.
+    pub src_port: u16,
+    /// Destination port.
+    pub dst_port: u16,
+    /// Sequence number.
+    pub seq: u32,
+    /// Acknowledgement number.
+    pub ack: u32,
+    /// Flags.
+    pub flags: Flags,
+    /// Window.
+    pub window: u16,
+}
+
+impl Header {
+    /// The header of a checked segment view (options are not kept).
+    pub fn parse<T: AsRef<[u8]>>(packet: &Packet<T>) -> Header {
+        Header {
             src_port: packet.src_port(),
             dst_port: packet.dst_port(),
             seq: packet.seq(),
             ack: packet.ack(),
             flags: packet.flags(),
             window: packet.window(),
+        }
+    }
+
+    /// Append a 20-byte header to `buf` with its checksum left for
+    /// [`Open::close`] (against `ph`), once the payload follows it.
+    pub fn open(&self, buf: &mut Vec<u8>, ph: PseudoHeader) -> Open {
+        let at = buf.len();
+        let mut h = [0u8; HEADER_LEN];
+        h[0..2].copy_from_slice(&self.src_port.to_be_bytes());
+        h[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
+        h[4..8].copy_from_slice(&self.seq.to_be_bytes());
+        h[8..12].copy_from_slice(&self.ack.to_be_bytes());
+        h[12] = ((HEADER_LEN / 4) as u8) << 4;
+        h[13] = self.flags.0;
+        h[14..16].copy_from_slice(&self.window.to_be_bytes());
+        buf.extend_from_slice(&h);
+        Open::tcp(at, ph)
+    }
+}
+
+impl Repr {
+    /// Parse from a checked view, copying the payload.
+    pub fn parse<T: AsRef<[u8]>>(packet: &Packet<T>) -> Repr {
+        let h = Header::parse(packet);
+        Repr {
+            src_port: h.src_port,
+            dst_port: h.dst_port,
+            seq: h.seq,
+            ack: h.ack,
+            flags: h.flags,
+            window: h.window,
             payload: packet.payload().to_vec(),
         }
     }
@@ -204,26 +262,24 @@ impl Repr {
         Ok(Repr::parse(&Packet::new_checked(bytes)?))
     }
 
+    /// The segment's header fields, without the payload.
+    pub fn header(&self) -> Header {
+        Header {
+            src_port: self.src_port,
+            dst_port: self.dst_port,
+            seq: self.seq,
+            ack: self.ack,
+            flags: self.flags,
+            window: self.window,
+        }
+    }
+
     /// Serialize with the checksum computed against `ph`.
     pub fn build(&self, ph: PseudoHeader) -> Vec<u8> {
-        let len = HEADER_LEN + self.payload.len();
-        let mut b = vec![0u8; len];
-        b[0..2].copy_from_slice(&self.src_port.to_be_bytes());
-        b[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
-        b[4..8].copy_from_slice(&self.seq.to_be_bytes());
-        b[8..12].copy_from_slice(&self.ack.to_be_bytes());
-        b[12] = ((HEADER_LEN / 4) as u8) << 4;
-        b[13] = self.flags.0;
-        b[14..16].copy_from_slice(&self.window.to_be_bytes());
-        b[HEADER_LEN..].copy_from_slice(&self.payload);
-        let mut c = Checksum::new();
-        match ph {
-            PseudoHeader::V4 { src, dst } => c.add_ipv4_pseudo(src, dst, 6, len as u16),
-            PseudoHeader::V6 { src, dst } => c.add_ipv6_pseudo(src, dst, 6, len as u32),
-        }
-        c.add(&b);
-        let sum = c.finish();
-        b[16..18].copy_from_slice(&sum.to_be_bytes());
+        let mut b = Vec::with_capacity(HEADER_LEN + self.payload.len());
+        let t = self.header().open(&mut b, ph);
+        b.extend_from_slice(&self.payload);
+        t.close(&mut b);
         b
     }
 

@@ -14,54 +14,73 @@ use crate::error::{Error, Result};
 /// (telemetry volume modelling). The total is at least the handshake
 /// record.
 pub fn client_hello(sni: &Name, payload_len: usize) -> Vec<u8> {
+    let mut rec = Vec::new();
+    emit_client_hello(&mut rec, sni, payload_len);
+    rec
+}
+
+/// Length of the [`client_hello`] record for `sni` padded toward
+/// `payload_len`, without building it.
+pub fn client_hello_len(sni: &Name, payload_len: usize) -> usize {
+    let rec_len = sni.as_str().len() + HANDSHAKE_OVERHEAD;
+    let padding = payload_len.saturating_sub(rec_len);
+    rec_len + padding + PAD_RECORD_HEADER * padding.div_ceil(PAD_RECORD_MAX)
+}
+
+/// Bytes of the handshake record beyond the host name: record header 5,
+/// handshake header 4, ClientHello fields 43, extension headers 9.
+const HANDSHAKE_OVERHEAD: usize = 61;
+/// Largest application-data padding record body.
+const PAD_RECORD_MAX: usize = 4096;
+/// Application-data record header: type, version, length.
+const PAD_RECORD_HEADER: usize = 5;
+
+/// Append the [`client_hello`] record for `sni` and its application-data
+/// padding to `buf`, writing every byte in place.
+pub fn emit_client_hello(buf: &mut Vec<u8>, sni: &Name, payload_len: usize) {
     let host = sni.as_str().as_bytes();
+    // Nested lengths, innermost first: server_name extension body (list
+    // length, type 0 = host_name, name), the extensions block, the
+    // ClientHello body, the handshake message.
+    let ext_body_len = host.len() + 5;
+    let extensions_len = ext_body_len + 4;
+    let hello_len = extensions_len + 43;
+    let hs_len = hello_len + 4;
+    let rec_len = hs_len + 5;
+    buf.reserve_exact(client_hello_len(sni, payload_len));
 
-    // server_name extension body: list length, type 0 (host_name), name.
-    let mut ext_body = Vec::with_capacity(host.len() + 5);
-    ext_body.extend_from_slice(&((host.len() + 3) as u16).to_be_bytes());
-    ext_body.push(0);
-    ext_body.extend_from_slice(&(host.len() as u16).to_be_bytes());
-    ext_body.extend_from_slice(host);
-
-    let mut extensions = Vec::with_capacity(ext_body.len() + 4);
-    extensions.extend_from_slice(&0u16.to_be_bytes()); // extension type 0: server_name
-    extensions.extend_from_slice(&(ext_body.len() as u16).to_be_bytes());
-    extensions.extend_from_slice(&ext_body);
-
-    // ClientHello body.
-    let mut hello = Vec::with_capacity(extensions.len() + 48);
-    hello.extend_from_slice(&[0x03, 0x03]); // legacy_version TLS1.2
-    hello.extend_from_slice(&[0x11; 32]); // random (deterministic)
-    hello.push(0); // session id length
-    hello.extend_from_slice(&[0x00, 0x02, 0x13, 0x01]); // ciphers: TLS_AES_128_GCM_SHA256
-    hello.extend_from_slice(&[0x01, 0x00]); // compression: null
-    hello.extend_from_slice(&(extensions.len() as u16).to_be_bytes());
-    hello.extend_from_slice(&extensions);
-
+    // TLS record header.
+    buf.push(22); // content type: handshake
+    buf.extend_from_slice(&[0x03, 0x01]);
+    buf.extend_from_slice(&(hs_len as u16).to_be_bytes());
     // Handshake header.
-    let mut hs = Vec::with_capacity(hello.len() + 4);
-    hs.push(1); // handshake type: client_hello
-    hs.extend_from_slice(&(hello.len() as u32).to_be_bytes()[1..]);
-    hs.extend_from_slice(&hello);
-
-    // TLS record.
-    let mut rec = Vec::with_capacity(hs.len() + 5 + payload_len);
-    rec.push(22); // content type: handshake
-    rec.extend_from_slice(&[0x03, 0x01]);
-    rec.extend_from_slice(&(hs.len() as u16).to_be_bytes());
-    rec.extend_from_slice(&hs);
+    buf.push(1); // handshake type: client_hello
+    buf.extend_from_slice(&(hello_len as u32).to_be_bytes()[1..]);
+    // ClientHello body.
+    buf.extend_from_slice(&[0x03, 0x03]); // legacy_version TLS1.2
+    buf.extend_from_slice(&[0x11; 32]); // random (deterministic)
+    buf.push(0); // session id length
+    buf.extend_from_slice(&[0x00, 0x02, 0x13, 0x01]); // ciphers: TLS_AES_128_GCM_SHA256
+    buf.extend_from_slice(&[0x01, 0x00]); // compression: null
+    buf.extend_from_slice(&(extensions_len as u16).to_be_bytes());
+    // Extension type 0: server_name.
+    buf.extend_from_slice(&0u16.to_be_bytes());
+    buf.extend_from_slice(&(ext_body_len as u16).to_be_bytes());
+    buf.extend_from_slice(&((host.len() + 3) as u16).to_be_bytes());
+    buf.push(0);
+    buf.extend_from_slice(&(host.len() as u16).to_be_bytes());
+    buf.extend_from_slice(host);
 
     // Pad to the requested volume with application-data records.
-    let mut remaining = payload_len.saturating_sub(rec.len());
+    let mut remaining = payload_len.saturating_sub(rec_len);
     while remaining > 0 {
-        let chunk = remaining.min(4096);
-        rec.push(23); // application data
-        rec.extend_from_slice(&[0x03, 0x03]);
-        rec.extend_from_slice(&(chunk as u16).to_be_bytes());
-        rec.extend_from_slice(&vec![0x5a; chunk]);
+        let chunk = remaining.min(PAD_RECORD_MAX);
+        buf.push(23); // application data
+        buf.extend_from_slice(&[0x03, 0x03]);
+        buf.extend_from_slice(&(chunk as u16).to_be_bytes());
+        crate::emit::fill(buf, 0x5a, chunk);
         remaining -= chunk;
     }
-    rec
 }
 
 /// Extract the SNI host from the first TLS record, if it is a ClientHello
@@ -146,6 +165,18 @@ mod tests {
 
     fn name(s: &str) -> Name {
         Name::new(s).unwrap()
+    }
+
+    #[test]
+    fn client_hello_len_matches_the_record() {
+        let sni = name("telemetry.example.com");
+        for len in [0, 1, 60, 82, 83, 84, 200, 4179, 4180, 4181, 12_000, 12_345] {
+            assert_eq!(
+                client_hello_len(&sni, len),
+                client_hello(&sni, len).len(),
+                "{len}"
+            );
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! UDP (RFC 768), with IPv4/IPv6 pseudo-header checksums.
 
 use crate::checksum::Checksum;
+use crate::emit::Open;
 use crate::error::{Error, Result};
 use std::net::{Ipv4Addr, Ipv6Addr};
 
@@ -85,6 +86,14 @@ impl<T: AsRef<[u8]>> Packet<T> {
     }
 }
 
+impl<'a> Packet<&'a [u8]> {
+    /// Application payload, borrowed for the buffer's whole lifetime.
+    pub fn into_payload(self) -> &'a [u8] {
+        let len = usize::from(self.len());
+        &self.buffer[HEADER_LEN..len]
+    }
+}
+
 /// Owned representation of a UDP datagram (header + owned payload).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Repr {
@@ -132,25 +141,22 @@ impl Repr {
 
     /// Serialize with the checksum computed against `ph`.
     pub fn build(&self, ph: PseudoHeader) -> Vec<u8> {
-        let len = HEADER_LEN + self.payload.len();
-        let mut b = vec![0u8; len];
-        b[0..2].copy_from_slice(&self.src_port.to_be_bytes());
-        b[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
-        b[4..6].copy_from_slice(&(len as u16).to_be_bytes());
-        b[HEADER_LEN..].copy_from_slice(&self.payload);
-        let mut c = Checksum::new();
-        match ph {
-            PseudoHeader::V4 { src, dst } => c.add_ipv4_pseudo(src, dst, 17, len as u16),
-            PseudoHeader::V6 { src, dst } => c.add_ipv6_pseudo(src, dst, 17, len as u32),
-        }
-        c.add(&b);
-        let mut sum = c.finish();
-        if sum == 0 {
-            sum = 0xffff; // RFC 768: transmitted zero means "no checksum"
-        }
-        b[6..8].copy_from_slice(&sum.to_be_bytes());
+        let mut b = Vec::with_capacity(HEADER_LEN + self.payload.len());
+        let u = open(&mut b, self.src_port, self.dst_port, ph);
+        b.extend_from_slice(&self.payload);
+        u.close(&mut b);
         b
     }
+}
+
+/// Append a UDP header to `buf` with its length and checksum left for
+/// [`Open::close`] (against `ph`), once the payload follows it.
+pub fn open(buf: &mut Vec<u8>, src_port: u16, dst_port: u16, ph: PseudoHeader) -> Open {
+    let at = buf.len();
+    buf.extend_from_slice(&src_port.to_be_bytes());
+    buf.extend_from_slice(&dst_port.to_be_bytes());
+    buf.extend_from_slice(&[0; 4]);
+    Open::udp(at, ph)
 }
 
 #[cfg(test)]

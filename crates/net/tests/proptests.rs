@@ -47,6 +47,35 @@ proptest! {
     }
 
     #[test]
+    fn checksum_matches_a_word_by_word_fold(data in proptest::collection::vec(any::<u8>(), 0..2048),
+                                            cuts in proptest::collection::vec(any::<u16>(), 0..6)) {
+        // The reference: RFC 1071 over big-endian 16-bit words, zero-pad
+        // the odd tail, fold, complement.
+        let mut reference: u64 = 0;
+        for c in data.chunks(2) {
+            reference += u64::from(u16::from_be_bytes([c[0], *c.get(1).unwrap_or(&0)]));
+        }
+        while reference > 0xffff {
+            reference = (reference & 0xffff) + (reference >> 16);
+        }
+        let want = !(reference as u16);
+        prop_assert_eq!(checksum::checksum(&data), want);
+        // Fed in pieces split at even offsets, the sum is the same.
+        let mut offsets: Vec<usize> = cuts
+            .iter()
+            .map(|&c| (usize::from(c) % (data.len() + 1)) & !1)
+            .collect();
+        offsets.push(0);
+        offsets.push(data.len());
+        offsets.sort_unstable();
+        let mut acc = checksum::Checksum::new();
+        for w in offsets.windows(2) {
+            acc.add(&data[w[0]..w[1]]);
+        }
+        prop_assert_eq!(acc.finish(), want);
+    }
+
+    #[test]
     fn ethernet_roundtrip(src in arb_mac(), dst in arb_mac(), et in any::<u16>(),
                           payload in proptest::collection::vec(any::<u8>(), 0..128)) {
         let r = ethernet::Repr { src, dst, ethertype: et.into() };

@@ -99,7 +99,9 @@ mod tests {
     use v6brick_net::udp::PseudoHeader;
     use v6brick_net::{ipv6, udp};
 
-    fn dns6_packet() -> ParsedPacket {
+    /// A parsed DNS-over-IPv6 query; the frame is leaked so the borrowed
+    /// parse can outlive the helper.
+    fn dns6_packet() -> ParsedPacket<'static> {
         let src: Ipv6Addr = "2001:db8::10".parse().unwrap();
         let dst: Ipv6Addr = "2001:4860:4860::8888".parse().unwrap();
         let u = udp::Repr {
@@ -122,7 +124,7 @@ mod tests {
             ethertype: EtherType::Ipv6,
         }
         .build(&ip);
-        ParsedPacket::parse(&frame).unwrap()
+        ParsedPacket::parse(frame.leak()).unwrap()
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use crate::addrs;
 use crate::event::{EventKind, EventQueue, SimTime};
 use crate::faults::FaultPlan;
-use crate::host::{frame_addressed_to, Effects, Host, HostId};
+use crate::host::{frame_addressed_to, Effects, FreeList, Host, HostId};
 use crate::internet::Internet;
 use crate::router::Router;
 use rand::rngs::StdRng;
@@ -126,6 +126,7 @@ impl SimulationBuilder {
             sinks: self.sinks,
             loss_per_mille: self.loss_per_mille,
             faults: self.faults,
+            free: FreeList::default(),
             started: false,
             frames_delivered: 0,
             frames_lost: 0,
@@ -151,6 +152,9 @@ pub struct Simulation {
     sinks: Vec<Box<dyn FrameSink>>,
     loss_per_mille: u32,
     faults: FaultPlan,
+    /// Consumed frame and packet buffers, lent to every callback's
+    /// [`Effects`] and refilled as events are delivered.
+    free: FreeList,
     started: bool,
     /// Total LAN frame deliveries (observability).
     pub frames_delivered: u64,
@@ -221,13 +225,13 @@ impl Simulation {
         if !self.started {
             self.started = true;
             // Power everything on at t=0.
-            let mut fx = Effects::new(&mut self.rng);
+            let mut fx = lend(&mut self.rng, &mut self.free);
             self.router.on_start(self.clock, &mut fx);
-            Self::apply(&mut self.queue, self.clock, ROUTER_SLOT, fx);
+            Self::apply(&mut self.queue, &mut self.free, self.clock, ROUTER_SLOT, fx);
             for i in 0..self.hosts.len() {
-                let mut fx = Effects::new(&mut self.rng);
+                let mut fx = lend(&mut self.rng, &mut self.free);
                 self.hosts[i].on_start(self.clock, &mut fx);
-                Self::apply(&mut self.queue, self.clock, i, fx);
+                Self::apply(&mut self.queue, &mut self.free, self.clock, i, fx);
             }
         }
         loop {
@@ -245,15 +249,18 @@ impl Simulation {
             let ev = self.queue.pop().expect("peeked event exists");
             self.clock = ev.at;
             match ev.kind {
-                EventKind::LanFrame { from, frame } => self.deliver_lan(from, &frame),
+                EventKind::LanFrame { from, frame } => {
+                    self.deliver_lan(from, &frame);
+                    self.free.give(frame);
+                }
                 EventKind::Timer { host, token } => {
-                    let mut fx = Effects::new(&mut self.rng);
+                    let mut fx = lend(&mut self.rng, &mut self.free);
                     if host == ROUTER_SLOT {
                         self.router.on_timer(self.clock, token, &mut fx);
                     } else if let Some(h) = self.hosts.get_mut(host) {
                         h.on_timer(self.clock, token, &mut fx);
                     }
-                    Self::apply(&mut self.queue, self.clock, host, fx);
+                    Self::apply(&mut self.queue, &mut self.free, self.clock, host, fx);
                 }
                 EventKind::WanPacket {
                     to_internet,
@@ -262,7 +269,9 @@ impl Simulation {
                     if self.tunnel_blocked(&packet) {
                         self.tunnel_drops += 1;
                     } else if to_internet {
-                        for reply in self.internet.handle_packet_at(self.clock, &packet) {
+                        if let Some(reply) =
+                            self.internet.serve(self.clock, &packet, &mut self.free)
+                        {
                             self.queue.push(
                                 self.clock + SimTime(addrs::WAN_DELAY_US),
                                 EventKind::WanPacket {
@@ -272,10 +281,11 @@ impl Simulation {
                             );
                         }
                     } else {
-                        let mut fx = Effects::new(&mut self.rng);
+                        let mut fx = lend(&mut self.rng, &mut self.free);
                         self.router.on_wan_packet(self.clock, &packet, &mut fx);
-                        Self::apply(&mut self.queue, self.clock, ROUTER_SLOT, fx);
+                        Self::apply(&mut self.queue, &mut self.free, self.clock, ROUTER_SLOT, fx);
                     }
+                    self.free.give(packet);
                 }
             }
         }
@@ -337,24 +347,26 @@ impl Simulation {
         self.frames_delivered += 1;
 
         if from != ROUTER_SLOT && frame_addressed_to(dst, addrs::ROUTER_MAC) {
-            let mut fx = Effects::new(&mut self.rng);
+            let mut fx = lend(&mut self.rng, &mut self.free);
             self.router.on_frame(self.clock, frame, &mut fx);
-            Self::apply(&mut self.queue, self.clock, ROUTER_SLOT, fx);
+            Self::apply(&mut self.queue, &mut self.free, self.clock, ROUTER_SLOT, fx);
         }
         for i in 0..self.hosts.len() {
             if i == from {
                 continue;
             }
             if frame_addressed_to(dst, self.hosts[i].mac()) {
-                let mut fx = Effects::new(&mut self.rng);
+                let mut fx = lend(&mut self.rng, &mut self.free);
                 self.hosts[i].on_frame(self.clock, frame, &mut fx);
-                Self::apply(&mut self.queue, self.clock, i, fx);
+                Self::apply(&mut self.queue, &mut self.free, self.clock, i, fx);
             }
         }
     }
 
-    /// Schedule the side effects a callback produced.
-    fn apply(queue: &mut EventQueue, now: SimTime, slot: usize, fx: Effects) {
+    /// Schedule the side effects a callback produced, and take back the
+    /// free list it borrowed.
+    fn apply(queue: &mut EventQueue, free: &mut FreeList, now: SimTime, slot: usize, fx: Effects) {
+        *free = fx.free;
         for frame in fx.frames {
             queue.push(
                 now + SimTime(addrs::LAN_DELAY_US),
@@ -398,6 +410,12 @@ impl Simulation {
             },
         );
     }
+}
+
+/// Effects for one callback, lent the simulation's free list (returned by
+/// [`Simulation::apply`]).
+fn lend<'a>(rng: &'a mut StdRng, free: &mut FreeList) -> Effects<'a> {
+    Effects::with_free_list(rng, std::mem::take(free))
 }
 
 #[cfg(test)]

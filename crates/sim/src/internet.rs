@@ -12,9 +12,11 @@
 use crate::addrs;
 use crate::event::SimTime;
 use crate::faults::{DnsFaultMode, FaultPlan};
+use crate::host::FreeList;
 use std::collections::{BTreeSet, HashMap};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use v6brick_net::dns::{Message, Name, Rcode, Rdata, Record, RecordType};
+use v6brick_net::emit;
 use v6brick_net::ipv4::Protocol;
 use v6brick_net::ipv6::Ipv6AddrExt;
 use v6brick_net::udp::PseudoHeader;
@@ -212,9 +214,10 @@ fn soa_for(name: &Name) -> Record {
 #[derive(Debug)]
 pub struct Internet {
     zones: ZoneDb,
-    /// Reverse maps so a packet's destination identifies its domain.
-    by_v4: HashMap<Ipv4Addr, Name>,
-    by_v6: HashMap<Ipv6Addr, Name>,
+    /// Reverse map so a packet's destination identifies its domain. The
+    /// value is the [`Internet::served`] key for traffic to that address:
+    /// (domain, reached over IPv6).
+    by_addr: HashMap<IpAddr, (Name, bool)>,
     /// Fault schedule (zone-level DNS timeout/SERVFAIL windows).
     faults: FaultPlan,
     /// Total bytes served, per (domain, was_ipv6) — observability for tests.
@@ -231,23 +234,107 @@ pub struct Internet {
     observed_v6_sources: BTreeSet<Ipv6Addr>,
 }
 
+/// A server's answer to one packet, decided before a byte of it is
+/// written so the reply can be emitted straight into its final buffer.
+#[derive(Debug)]
+enum Reply {
+    Udp {
+        src_port: u16,
+        dst_port: u16,
+        body: Body,
+    },
+    /// A segment whose payload (if any) is `fill` bytes of `0x17`.
+    Tcp {
+        header: tcp::Header,
+        fill: usize,
+    },
+    Icmpv6(icmpv6::Repr),
+}
+
+/// A UDP reply payload: built bytes (DNS) or filler.
+#[derive(Debug)]
+enum Body {
+    Bytes(Vec<u8>),
+    Fill(u8, usize),
+}
+
+impl Reply {
+    /// Bytes of the reply's transport header and payload (ICMPv6 replies
+    /// are small and left to ordinary growth).
+    fn transport_len(&self) -> usize {
+        match self {
+            Reply::Udp { body, .. } => {
+                udp::HEADER_LEN
+                    + match body {
+                        Body::Bytes(b) => b.len(),
+                        Body::Fill(_, len) => *len,
+                    }
+            }
+            Reply::Tcp { fill, .. } => tcp::HEADER_LEN + fill,
+            Reply::Icmpv6(_) => 0,
+        }
+    }
+
+    /// Append the reply as an IP packet from `ips`' source to its
+    /// destination (hop limit 64), every byte written once. Capacity is
+    /// reserved exactly, so a recycled buffer only grows to the largest
+    /// packet it carries.
+    fn emit(self, buf: &mut Vec<u8>, ips: PseudoHeader) {
+        let ip_len = match ips {
+            PseudoHeader::V4 { .. } => ipv4::HEADER_LEN,
+            PseudoHeader::V6 { .. } => ipv6::HEADER_LEN,
+        };
+        buf.reserve_exact(ip_len + self.transport_len());
+        let protocol = match self {
+            Reply::Udp { .. } => Protocol::Udp,
+            Reply::Tcp { .. } => Protocol::Tcp,
+            Reply::Icmpv6(_) => Protocol::Icmpv6,
+        };
+        let ip = emit::open_ip(buf, ips, protocol, 64);
+        match self {
+            Reply::Udp {
+                src_port,
+                dst_port,
+                body,
+            } => {
+                let u = udp::open(buf, src_port, dst_port, ips);
+                match body {
+                    Body::Bytes(b) => buf.extend_from_slice(&b),
+                    Body::Fill(byte, len) => emit::fill(buf, byte, len),
+                }
+                u.close(buf);
+            }
+            Reply::Tcp { header, fill } => {
+                let t = header.open(buf, ips);
+                emit::fill(buf, 0x17, fill);
+                t.close(buf);
+            }
+            Reply::Icmpv6(msg) => {
+                let PseudoHeader::V6 { src, dst } = ips else {
+                    unreachable!("ICMPv6 replies travel over IPv6");
+                };
+                msg.emit_into(buf, src, dst);
+            }
+        }
+        ip.close(buf);
+    }
+}
+
 impl Internet {
     /// Build from a zone database.
     pub fn new(zones: ZoneDb) -> Internet {
-        let mut by_v4 = HashMap::new();
-        let mut by_v6 = HashMap::new();
+        let mut by_addr = HashMap::new();
         for p in zones.iter() {
             if let Some(a) = p.a {
-                by_v4.insert(a, p.name.clone());
+                by_addr.insert(IpAddr::V4(a), (p.name.clone(), false));
             }
             if let Some(aaaa) = p.aaaa {
-                by_v6.insert(aaaa, p.name.clone());
+                by_addr.insert(IpAddr::V6(aaaa), (p.name.clone(), true));
             }
         }
         Internet {
             zones,
-            by_v4,
-            by_v6,
+            by_addr,
             faults: FaultPlan::new(),
             served: HashMap::new(),
             scanner_addr: None,
@@ -289,234 +376,125 @@ impl Internet {
         &self.zones
     }
 
-    /// Handle one IPv4 packet arriving from the router's WAN interface,
-    /// with time-based faults disabled (tests and callers without a
-    /// clock). Equivalent to [`Internet::handle_packet_at`] at `t = 0`.
-    pub fn handle_packet(&mut self, packet: &[u8]) -> Vec<Vec<u8>> {
-        self.handle_packet_at(SimTime::ZERO, packet)
-    }
-
     /// Handle one IPv4 packet arriving from the router's WAN interface
-    /// at virtual time `now`. Returns the IPv4 packets flowing back.
-    pub fn handle_packet_at(&mut self, now: SimTime, packet: &[u8]) -> Vec<Vec<u8>> {
-        let Ok(p) = ipv4::Packet::new_checked(packet) else {
-            return Vec::new();
-        };
+    /// at virtual time `now`, emitting the reply packet (if any) into a
+    /// buffer taken from `free`. A reply to a 6in4 packet is written
+    /// inside its tunnel header in the same buffer, filler included, so
+    /// each reply byte is written exactly once.
+    pub fn serve(&mut self, now: SimTime, packet: &[u8], free: &mut FreeList) -> Option<Vec<u8>> {
+        let p = ipv4::Packet::new_checked(packet).ok()?;
         let repr = ipv4::Repr::parse(&p);
-        match repr.protocol {
-            // 6in4: unwrap and process as IPv6, re-wrapping replies.
-            Protocol::Ipv6 if repr.dst == addrs::TUNNEL_REMOTE_IPV4 => {
-                let Ok(inner) = ipv6::Packet::new_checked(p.payload()) else {
-                    return Vec::new();
-                };
-                let inner_repr = ipv6::Repr::parse(&inner);
-                if inner_repr.src.is_global_unicast() {
-                    self.observed_v6_sources.insert(inner_repr.src);
-                }
-                if Some(inner_repr.dst) == self.scanner_addr {
-                    self.scanner_rx.push(p.payload().to_vec());
-                    return Vec::new();
-                }
-                self.handle_v6(now, &inner_repr, inner.payload())
-                    .into_iter()
-                    .map(|v6_bytes| {
-                        ipv4::Repr {
-                            src: addrs::TUNNEL_REMOTE_IPV4,
-                            dst: repr.src,
-                            protocol: Protocol::Ipv6,
-                            ttl: 64,
-                            payload_len: v6_bytes.len(),
-                        }
-                        .build(&v6_bytes)
-                    })
-                    .collect()
+        if repr.protocol == Protocol::Ipv6 && repr.dst == addrs::TUNNEL_REMOTE_IPV4 {
+            // 6in4: unwrap and process as IPv6, re-wrapping the reply.
+            let inner = ipv6::Packet::new_checked(p.payload()).ok()?;
+            let inner_repr = ipv6::Repr::parse(&inner);
+            if inner_repr.src.is_global_unicast() {
+                self.observed_v6_sources.insert(inner_repr.src);
             }
-            _ => self.handle_v4(now, &repr, p.payload()),
+            if Some(inner_repr.dst) == self.scanner_addr {
+                self.scanner_rx.push(p.payload().to_vec());
+                return None;
+            }
+            let reply = self.handle_v6(now, &inner_repr, inner.payload())?;
+            let mut buf = free.take();
+            buf.reserve_exact(ipv4::HEADER_LEN + ipv6::HEADER_LEN + reply.transport_len());
+            let tunnel = ipv4::Repr {
+                src: addrs::TUNNEL_REMOTE_IPV4,
+                dst: repr.src,
+                protocol: Protocol::Ipv6,
+                ttl: 64,
+                payload_len: 0,
+            }
+            .open(&mut buf);
+            reply.emit(
+                &mut buf,
+                PseudoHeader::V6 {
+                    src: inner_repr.dst,
+                    dst: inner_repr.src,
+                },
+            );
+            tunnel.close(&mut buf);
+            Some(buf)
+        } else {
+            let reply = self.handle_v4(now, &repr, p.payload())?;
+            let mut buf = free.take();
+            reply.emit(
+                &mut buf,
+                PseudoHeader::V4 {
+                    src: repr.dst,
+                    dst: repr.src,
+                },
+            );
+            Some(buf)
         }
     }
 
-    fn handle_v4(&mut self, now: SimTime, ip: &ipv4::Repr, payload: &[u8]) -> Vec<Vec<u8>> {
-        let mut out = Vec::new();
+    fn handle_v4(&mut self, now: SimTime, ip: &ipv4::Repr, payload: &[u8]) -> Option<Reply> {
         match ip.protocol {
             Protocol::Udp => {
-                let Ok(u) = udp::Packet::new_checked(payload) else {
-                    return out;
-                };
-                let reply = self.handle_udp(
-                    now,
-                    IpAddr::V4(ip.src),
-                    IpAddr::V4(ip.dst),
-                    u.src_port(),
-                    u.dst_port(),
-                    u.payload(),
-                );
-                if let Some((payload, src_port)) = reply {
-                    let udp_bytes = udp::Repr {
-                        src_port,
-                        dst_port: u.src_port(),
-                        payload,
-                    }
-                    .build(PseudoHeader::V4 {
-                        src: ip.dst,
-                        dst: ip.src,
-                    });
-                    out.push(
-                        ipv4::Repr {
-                            src: ip.dst,
-                            dst: ip.src,
-                            protocol: Protocol::Udp,
-                            ttl: 64,
-                            payload_len: udp_bytes.len(),
-                        }
-                        .build(&udp_bytes),
-                    );
-                }
+                let u = udp::Packet::new_checked(payload).ok()?;
+                self.handle_udp(now, IpAddr::V4(ip.dst), &u)
             }
             Protocol::Tcp => {
-                let Ok(t) = tcp::Packet::new_checked(payload) else {
-                    return out;
-                };
-                let seg = tcp::Repr::parse(&t);
-                let domain = self.by_v4.get(&ip.dst).cloned();
-                for reply in self.handle_tcp(domain, false, &seg) {
-                    let bytes = reply.build(PseudoHeader::V4 {
-                        src: ip.dst,
-                        dst: ip.src,
-                    });
-                    out.push(
-                        ipv4::Repr {
-                            src: ip.dst,
-                            dst: ip.src,
-                            protocol: Protocol::Tcp,
-                            ttl: 64,
-                            payload_len: bytes.len(),
-                        }
-                        .build(&bytes),
-                    );
-                }
+                let t = tcp::Packet::new_checked(payload).ok()?;
+                self.handle_tcp(IpAddr::V4(ip.dst), &t)
             }
-            _ => {}
+            _ => None,
         }
-        out
     }
 
-    fn handle_v6(&mut self, now: SimTime, ip: &ipv6::Repr, payload: &[u8]) -> Vec<Vec<u8>> {
-        let mut out = Vec::new();
+    fn handle_v6(&mut self, now: SimTime, ip: &ipv6::Repr, payload: &[u8]) -> Option<Reply> {
         // The §7 reachability extension: servers whose AAAA exists but
         // whose IPv6 path is dead swallow everything silently.
-        if let Some(name) = self.by_v6.get(&ip.dst) {
-            if let Some(p) = self.zones.get(name) {
-                if !p.reachable_v6 {
-                    return out;
-                }
+        let dst = IpAddr::V6(ip.dst);
+        if let Some((name, _)) = self.by_addr.get(&dst) {
+            if self.zones.get(name).is_some_and(|p| !p.reachable_v6) {
+                return None;
             }
         }
         match ip.next_header {
             Protocol::Udp => {
-                let Ok(u) = udp::Packet::new_checked(payload) else {
-                    return out;
-                };
-                let reply = self.handle_udp(
-                    now,
-                    IpAddr::V6(ip.src),
-                    IpAddr::V6(ip.dst),
-                    u.src_port(),
-                    u.dst_port(),
-                    u.payload(),
-                );
-                if let Some((payload, src_port)) = reply {
-                    let udp_bytes = udp::Repr {
-                        src_port,
-                        dst_port: u.src_port(),
-                        payload,
-                    }
-                    .build(PseudoHeader::V6 {
-                        src: ip.dst,
-                        dst: ip.src,
-                    });
-                    out.push(
-                        ipv6::Repr {
-                            src: ip.dst,
-                            dst: ip.src,
-                            next_header: Protocol::Udp,
-                            hop_limit: 64,
-                            payload_len: udp_bytes.len(),
-                        }
-                        .build(&udp_bytes),
-                    );
-                }
+                let u = udp::Packet::new_checked(payload).ok()?;
+                self.handle_udp(now, dst, &u)
             }
             Protocol::Icmpv6 => {
                 // Echo service on resolvers and known servers (the IoT
                 // connectivity probes of §5.4.1's "misc" EUI-64 uses).
                 let known = ip.dst == addrs::DNS6_PRIMARY
                     || ip.dst == addrs::DNS6_SECONDARY
-                    || self.by_v6.contains_key(&ip.dst);
+                    || self.by_addr.contains_key(&dst);
                 if !known {
-                    return out;
+                    return None;
                 }
-                if let Ok(icmpv6::Repr::EchoRequest {
-                    ident,
-                    seq,
-                    payload,
-                }) = icmpv6::Repr::parse_bytes(ip.src, ip.dst, payload)
-                {
-                    let reply = icmpv6::Repr::EchoReply {
+                match icmpv6::Repr::parse_bytes(ip.src, ip.dst, payload) {
+                    Ok(icmpv6::Repr::EchoRequest {
                         ident,
                         seq,
                         payload,
-                    };
-                    let body = reply.build(ip.dst, ip.src);
-                    out.push(
-                        ipv6::Repr {
-                            src: ip.dst,
-                            dst: ip.src,
-                            next_header: Protocol::Icmpv6,
-                            hop_limit: 64,
-                            payload_len: body.len(),
-                        }
-                        .build(&body),
-                    );
+                    }) => Some(Reply::Icmpv6(icmpv6::Repr::EchoReply {
+                        ident,
+                        seq,
+                        payload,
+                    })),
+                    _ => None,
                 }
             }
             Protocol::Tcp => {
-                let Ok(t) = tcp::Packet::new_checked(payload) else {
-                    return out;
-                };
-                let seg = tcp::Repr::parse(&t);
-                let domain = self.by_v6.get(&ip.dst).cloned();
-                for reply in self.handle_tcp(domain, true, &seg) {
-                    let bytes = reply.build(PseudoHeader::V6 {
-                        src: ip.dst,
-                        dst: ip.src,
-                    });
-                    out.push(
-                        ipv6::Repr {
-                            src: ip.dst,
-                            dst: ip.src,
-                            next_header: Protocol::Tcp,
-                            hop_limit: 64,
-                            payload_len: bytes.len(),
-                        }
-                        .build(&bytes),
-                    );
-                }
+                let t = tcp::Packet::new_checked(payload).ok()?;
+                self.handle_tcp(dst, &t)
             }
-            _ => {}
+            _ => None,
         }
-        out
     }
 
-    /// UDP service dispatch. Returns (reply payload, reply source port).
-    fn handle_udp(
-        &mut self,
-        now: SimTime,
-        _src: IpAddr,
-        dst: IpAddr,
-        _src_port: u16,
-        dst_port: u16,
-        payload: &[u8],
-    ) -> Option<(Vec<u8>, u16)> {
+    /// UDP service dispatch for a datagram addressed to `dst`.
+    fn handle_udp(&mut self, now: SimTime, dst: IpAddr, u: &udp::Packet<&[u8]>) -> Option<Reply> {
+        let (dst_port, payload) = (u.dst_port(), u.payload());
+        let reply = |src_port: u16, body: Body| Reply::Udp {
+            src_port,
+            dst_port: u.src_port(),
+            body,
+        };
         let is_resolver = match dst {
             IpAddr::V4(d) => d == addrs::DNS4_PRIMARY || d == addrs::DNS4_SECONDARY,
             IpAddr::V6(d) => d == addrs::DNS6_PRIMARY || d == addrs::DNS6_SECONDARY,
@@ -532,98 +510,78 @@ impl Internet {
                 match self.faults.dns_fault_for(now, q.name.as_str()) {
                     Some(DnsFaultMode::Timeout) => return None,
                     Some(DnsFaultMode::Servfail) => {
-                        return Some((query.response(Rcode::ServFail).build(), 53));
+                        let body = query.response(Rcode::ServFail).build();
+                        return Some(reply(53, Body::Bytes(body)));
                     }
                     None => {}
                 }
             }
-            return Some((self.zones.resolve(&query).build(), 53));
+            return Some(reply(53, Body::Bytes(self.zones.resolve(&query).build())));
         }
+        let key = self.by_addr.get(&dst)?;
         // NTP on any known server address.
         if dst_port == 123 {
-            if self.domain_for(dst).is_some() {
-                return Some((vec![0x24; 48], 123));
-            }
-            return None;
+            return Some(reply(123, Body::Fill(0x24, 48)));
         }
         // Generic UDP cloud service on a known server: scaled echo.
-        if let Some(name) = self.domain_for(dst) {
-            let profile = self.zones.get(&name)?;
-            let len = (payload.len() as u32 * profile.response_scale).clamp(16, 8192) as usize;
-            *self
-                .served
-                .entry((name.clone(), dst.is_ipv6()))
-                .or_insert(0) += len as u64;
-            return Some((vec![0x5a; len], dst_port));
-        }
-        None
+        let profile = self.zones.get(&key.0)?;
+        let len = (payload.len() as u32 * profile.response_scale).clamp(16, 8192) as usize;
+        account(&mut self.served, key, len);
+        Some(reply(dst_port, Body::Fill(0x5a, len)))
     }
 
-    /// Semi-stateless server-side TCP.
-    fn handle_tcp(
-        &mut self,
-        domain: Option<Name>,
-        was_v6: bool,
-        seg: &tcp::Repr,
-    ) -> Vec<tcp::Repr> {
-        let Some(name) = domain else {
-            // Unroutable/unknown destination: silence (packets to nowhere).
-            return Vec::new();
+    /// Semi-stateless server-side TCP for a segment addressed to `dst`.
+    fn handle_tcp(&mut self, dst: IpAddr, seg: &tcp::Packet<&[u8]>) -> Option<Reply> {
+        // Unroutable/unknown destination: silence (packets to nowhere).
+        let key = self.by_addr.get(&dst)?;
+        let profile = self.zones.get(&key.0)?;
+        let (flags, data_len) = (seg.flags(), seg.payload().len());
+        let mut header = tcp::Header {
+            src_port: seg.dst_port(),
+            dst_port: seg.src_port(),
+            seq: seg.ack(),
+            ack: seg.seq(),
+            flags: tcp::Flags::ACK,
+            window: 0xffff,
         };
-        let profile = match self.zones.get(&name) {
-            Some(p) => p.clone(),
-            None => return Vec::new(),
-        };
-        let mut out = Vec::new();
-        if seg.flags.contains(tcp::Flags::SYN) {
-            // Accept connections on the standard cloud ports.
-            let open = matches!(seg.dst_port, 443 | 80 | 8883 | 8443 | 123);
+        let mut fill = 0;
+        if flags.contains(tcp::Flags::SYN) {
+            // Accept connections on the standard cloud ports; anything
+            // else gets the RST a closed port sends.
+            let open = matches!(seg.dst_port(), 443 | 80 | 8883 | 8443 | 123);
+            header.ack = seg.seq().wrapping_add(1);
             if open {
-                out.push(tcp::Repr {
-                    src_port: seg.dst_port,
-                    dst_port: seg.src_port,
-                    seq: 1000,
-                    ack: seg.seq.wrapping_add(1),
-                    flags: tcp::Flags::SYN | tcp::Flags::ACK,
-                    window: 0xffff,
-                    payload: Vec::new(),
-                });
+                header.seq = 1000;
+                header.flags = tcp::Flags::SYN | tcp::Flags::ACK;
             } else {
-                out.push(seg.rst_for());
+                header.seq = 0;
+                header.flags = tcp::Flags::RST | tcp::Flags::ACK;
+                header.window = 0;
             }
-        } else if seg.flags.contains(tcp::Flags::FIN) {
-            out.push(tcp::Repr {
-                src_port: seg.dst_port,
-                dst_port: seg.src_port,
-                seq: seg.ack,
-                ack: seg.seq.wrapping_add(1 + seg.payload.len() as u32),
-                flags: tcp::Flags::FIN | tcp::Flags::ACK,
-                window: 0xffff,
-                payload: Vec::new(),
-            });
-        } else if !seg.payload.is_empty() {
+        } else if flags.contains(tcp::Flags::FIN) {
+            header.ack = seg.seq().wrapping_add(1 + data_len as u32);
+            header.flags = tcp::Flags::FIN | tcp::Flags::ACK;
+        } else if data_len > 0 {
             // Cap the response segment well inside the IPv6 payload-length
             // field; clients chase volume with multiple request segments.
-            let len =
-                (seg.payload.len() as u32 * profile.response_scale).clamp(64, 48 * 1024) as usize;
-            *self.served.entry((name, was_v6)).or_insert(0) += len as u64;
-            out.push(tcp::Repr {
-                src_port: seg.dst_port,
-                dst_port: seg.src_port,
-                seq: seg.ack,
-                ack: seg.seq.wrapping_add(seg.payload.len() as u32),
-                flags: tcp::Flags::PSH | tcp::Flags::ACK,
-                window: 0xffff,
-                payload: vec![0x17; len],
-            });
+            fill = (data_len as u32 * profile.response_scale).clamp(64, 48 * 1024) as usize;
+            account(&mut self.served, key, fill);
+            header.ack = seg.seq().wrapping_add(data_len as u32);
+            header.flags = tcp::Flags::PSH | tcp::Flags::ACK;
+        } else {
+            return None;
         }
-        out
+        Some(Reply::Tcp { header, fill })
     }
+}
 
-    fn domain_for(&self, ip: IpAddr) -> Option<Name> {
-        match ip {
-            IpAddr::V4(a) => self.by_v4.get(&a).cloned(),
-            IpAddr::V6(a) => self.by_v6.get(&a).cloned(),
+/// Add `len` served bytes under `key`, cloning the key only the first
+/// time a (domain, family) pair is served.
+fn account(served: &mut HashMap<(Name, bool), u64>, key: &(Name, bool), len: usize) {
+    match served.get_mut(key) {
+        Some(total) => *total += len as u64,
+        None => {
+            served.insert(key.clone(), len as u64);
         }
     }
 }
@@ -634,6 +592,11 @@ mod tests {
 
     fn name(s: &str) -> Name {
         Name::new(s).unwrap()
+    }
+
+    /// Serve one packet at `t = 0` into a fresh buffer.
+    fn serve(net: &mut Internet, packet: &[u8]) -> Option<Vec<u8>> {
+        net.serve(SimTime::ZERO, packet, &mut FreeList::default())
     }
 
     fn test_internet() -> Internet {
@@ -698,9 +661,8 @@ mod tests {
             payload_len: udp_bytes.len(),
         }
         .build(&udp_bytes);
-        let replies = net.handle_packet(&packet);
-        assert_eq!(replies.len(), 1);
-        let rp = ipv4::Packet::new_checked(&replies[0][..]).unwrap();
+        let reply = serve(&mut net, &packet).expect("a reply");
+        let rp = ipv4::Packet::new_checked(&reply[..]).unwrap();
         assert_eq!(rp.src(), addrs::DNS4_PRIMARY);
         let ru = udp::Packet::new_checked(rp.payload()).unwrap();
         let msg = Message::parse_bytes(ru.payload()).unwrap();
@@ -747,8 +709,12 @@ mod tests {
             .build(&udp_bytes)
         };
         let answer_at = |net: &mut Internet, t: u64| {
-            let replies = net.handle_packet_at(SimTime::from_secs(t), &query_packet());
-            replies.first().map(|r| {
+            let reply = net.serve(
+                SimTime::from_secs(t),
+                &query_packet(),
+                &mut FreeList::default(),
+            );
+            reply.map(|r| {
                 let rp = ipv4::Packet::new_checked(&r[..]).unwrap();
                 let ru = udp::Packet::new_checked(rp.payload()).unwrap();
                 Message::parse_bytes(ru.payload()).unwrap().rcode
@@ -787,9 +753,8 @@ mod tests {
             payload_len: v6.len(),
         }
         .build(&v6);
-        let replies = net.handle_packet(&encap);
-        assert_eq!(replies.len(), 1);
-        let outer = ipv4::Packet::new_checked(&replies[0][..]).unwrap();
+        let reply = serve(&mut net, &encap).expect("a reply");
+        let outer = ipv4::Packet::new_checked(&reply[..]).unwrap();
         assert_eq!(outer.protocol(), Protocol::Ipv6);
         let inner = ipv6::Packet::new_checked(outer.payload()).unwrap();
         assert_eq!(inner.src(), server6);
@@ -815,9 +780,8 @@ mod tests {
             payload_len: syn.len(),
         }
         .build(&syn);
-        let replies = net.handle_packet(&packet);
-        assert_eq!(replies.len(), 1);
-        let rp = ipv4::Packet::new_checked(&replies[0][..]).unwrap();
+        let reply = serve(&mut net, &packet).expect("a reply");
+        let rp = ipv4::Packet::new_checked(&reply[..]).unwrap();
         let seg = tcp::Packet::new_checked(rp.payload()).unwrap();
         assert!(seg.flags().contains(tcp::Flags::RST));
     }
@@ -847,9 +811,8 @@ mod tests {
             payload_len: data.len(),
         }
         .build(&data);
-        let replies = net.handle_packet(&packet);
-        assert_eq!(replies.len(), 1);
-        let rp = ipv4::Packet::new_checked(&replies[0][..]).unwrap();
+        let reply = serve(&mut net, &packet).expect("a reply");
+        let rp = ipv4::Packet::new_checked(&reply[..]).unwrap();
         let seg = tcp::Packet::new_checked(rp.payload()).unwrap();
         assert_eq!(seg.payload().len(), 400);
         assert_eq!(
@@ -873,6 +836,6 @@ mod tests {
             payload_len: syn.len(),
         }
         .build(&syn);
-        assert!(net.handle_packet(&packet).is_empty());
+        assert!(serve(&mut net, &packet).is_none());
     }
 }

@@ -205,8 +205,9 @@ impl BorderRouter {
         f: impl FnOnce(&mut dyn Host, &mut Effects),
     ) {
         let (frames, timers) = {
-            let mut inner = Effects::new(&mut *fx.rng);
+            let mut inner = Effects::with_free_list(&mut *fx.rng, std::mem::take(&mut fx.free));
             f(self.leaves[idx].as_mut(), &mut inner);
+            fx.free = inner.free;
             (inner.frames, inner.timers)
         };
         for (delay, token) in timers {
@@ -215,6 +216,7 @@ impl BorderRouter {
         }
         for frame in frames {
             self.leaf_outbound(idx, now, &frame, fx);
+            fx.free.give(frame);
         }
     }
 
@@ -240,7 +242,7 @@ impl BorderRouter {
             return;
         };
         let ip = ipv6::Repr::parse(&ip_pkt);
-        let payload = ip_pkt.payload().to_vec();
+        let payload = ip_pkt.payload();
 
         // Source learning: the return-path route for this leaf.
         if !ip.src.is_unspecified() && !ip.src.is_multicast() {
@@ -255,31 +257,32 @@ impl BorderRouter {
         };
         let ctx = self.context;
         let compressed =
-            sixlowpan::compress(&ip, &payload, &self.leaf_ext(idx), &ll_dst, Some(&ctx));
+            sixlowpan::compress(&ip, payload, &self.leaf_ext(idx), &ll_dst, Some(&ctx));
         self.transmit_mesh(now, self.leaf_ext(idx), ll_dst, &compressed);
 
         // Ethernet side: the border router is the link-layer source. NDP
         // link-layer address options must follow (ND proxy) — rebuild
         // those messages so checksums stay valid; everything else only
         // needs the Ethernet source swapped.
-        let rewritten = if ip.next_header == ipv4::Protocol::Icmpv6 {
-            self.proxy_ndp(&eth_repr, &ip, &payload)
+        let proxied = if ip.next_header == ipv4::Protocol::Icmpv6 {
+            self.proxy_ndp(&ip, payload)
         } else {
             None
         };
-        let out = rewritten.unwrap_or_else(|| {
-            let mut f = frame.to_vec();
-            f[6..12].copy_from_slice(self.mac.as_bytes());
-            f
+        fx.emit_frame(|b| match proxied {
+            Some(msg) => crate::wire::icmpv6_frame(b, self.mac, eth_repr.dst, ip.src, ip.dst, &msg),
+            None => {
+                b.extend_from_slice(frame);
+                b[6..12].copy_from_slice(self.mac.as_bytes());
+            }
         });
         self.forwarded_up += 1;
-        fx.send_frame(out);
     }
 
     /// Rebuild a leaf NDP message with link-layer address options pointing
     /// at the border router. Returns `None` when the message is not NDP
     /// (or fails to parse), in which case a plain source swap suffices.
-    fn proxy_ndp(&self, eth: &ethernet::Repr, ip: &ipv6::Repr, payload: &[u8]) -> Option<Vec<u8>> {
+    fn proxy_ndp(&self, ip: &ipv6::Repr, payload: &[u8]) -> Option<icmpv6::Repr> {
         let msg = icmpv6::Repr::parse_bytes(ip.src, ip.dst, payload).ok()?;
         let icmpv6::Repr::Ndp(ndp_msg) = msg else {
             return None;
@@ -322,13 +325,7 @@ impl BorderRouter {
             // Leaves do not originate RAs; leave one untouched if ever seen.
             ra @ ndp::Repr::RouterAdvert { .. } => ra,
         };
-        Some(crate::wire::icmpv6_frame(
-            self.mac,
-            eth.dst,
-            ip.src,
-            ip.dst,
-            &icmpv6::Repr::Ndp(proxied),
-        ))
+        Some(icmpv6::Repr::Ndp(proxied))
     }
 
     /// An Ethernet frame arriving at the border: multicast fans out to
@@ -350,13 +347,13 @@ impl BorderRouter {
             return;
         };
         let ip = ipv6::Repr::parse(&ip_pkt);
-        let payload = ip_pkt.payload().to_vec();
+        let payload = ip_pkt.payload();
         let ctx = self.context;
 
         if eth_repr.dst.is_multicast() {
             let compressed = sixlowpan::compress(
                 &ip,
-                &payload,
+                payload,
                 &self.br_ext(),
                 &ieee802154::BROADCAST,
                 Some(&ctx),
@@ -376,18 +373,20 @@ impl BorderRouter {
         };
         let compressed = sixlowpan::compress(
             &ip,
-            &payload,
+            payload,
             &self.br_ext(),
             &self.leaf_ext(idx),
             Some(&ctx),
         );
         self.transmit_mesh(now, self.br_ext(), self.leaf_ext(idx), &compressed);
         self.forwarded_down += 1;
-        let mut delivered = frame.to_vec();
+        let mut delivered = fx.free.take();
+        delivered.extend_from_slice(frame);
         delivered[0..6].copy_from_slice(self.leaf_macs[idx].as_bytes());
         self.with_leaf(idx, now, fx, |leaf, inner| {
             leaf.on_frame(now, &delivered, inner)
         });
+        fx.free.give(delivered);
     }
 }
 
@@ -429,6 +428,7 @@ impl Host for BorderRouter {
 mod tests {
     use super::*;
     use crate::event::SimTime;
+    use v6brick_net::udp::PseudoHeader;
 
     /// A scripted leaf: emits one canned frame on start, records frames.
     struct Leaf {
@@ -473,24 +473,38 @@ mod tests {
     #[test]
     fn v6_crosses_v4_bricks() {
         let src6: Ipv6Addr = "2001:db8:10:1::ee:1".parse().unwrap();
-        let v6 = crate::wire::udp6_frame(
-            leaf_mac(1),
-            addrs::ROUTER_MAC,
-            src6,
-            "2001:db8:2::53".parse().unwrap(),
-            5000,
-            53,
-            b"q".to_vec(),
-        );
-        let v4 = crate::wire::udp4_frame(
-            leaf_mac(1),
-            Mac::BROADCAST,
-            "0.0.0.0".parse().unwrap(),
-            "255.255.255.255".parse().unwrap(),
-            68,
-            67,
-            vec![0; 64],
-        );
+        let v6 = {
+            let mut f = Vec::new();
+            crate::wire::udp_frame(
+                &mut f,
+                leaf_mac(1),
+                addrs::ROUTER_MAC,
+                PseudoHeader::V6 {
+                    src: src6,
+                    dst: "2001:db8:2::53".parse().unwrap(),
+                },
+                5000,
+                53,
+                b"q",
+            );
+            f
+        };
+        let v4 = {
+            let mut f = Vec::new();
+            crate::wire::udp_frame(
+                &mut f,
+                leaf_mac(1),
+                Mac::BROADCAST,
+                PseudoHeader::V4 {
+                    src: "0.0.0.0".parse().unwrap(),
+                    dst: "255.255.255.255".parse().unwrap(),
+                },
+                68,
+                67,
+                &[0; 64],
+            );
+            f
+        };
         let mut br = BorderRouter::new(
             7,
             vec![Box::new(Leaf {
@@ -516,15 +530,20 @@ mod tests {
     #[test]
     fn ndp_sllao_is_proxied_with_valid_checksum() {
         let lla: Ipv6Addr = "fe80::aa:1".parse().unwrap();
-        let rs = crate::wire::icmpv6_frame(
-            leaf_mac(1),
-            Mac::new(0x33, 0x33, 0, 0, 0, 2),
-            lla,
-            "ff02::2".parse().unwrap(),
-            &icmpv6::Repr::Ndp(ndp::Repr::RouterSolicit {
-                options: vec![ndp::NdpOption::SourceLinkLayerAddr(leaf_mac(1))],
-            }),
-        );
+        let rs = {
+            let mut f = Vec::new();
+            crate::wire::icmpv6_frame(
+                &mut f,
+                leaf_mac(1),
+                Mac::new(0x33, 0x33, 0, 0, 0, 2),
+                lla,
+                "ff02::2".parse().unwrap(),
+                &icmpv6::Repr::Ndp(ndp::Repr::RouterSolicit {
+                    options: vec![ndp::NdpOption::SourceLinkLayerAddr(leaf_mac(1))],
+                }),
+            );
+            f
+        };
         let mut br = BorderRouter::new(
             7,
             vec![Box::new(Leaf {
@@ -552,15 +571,22 @@ mod tests {
     #[test]
     fn inbound_unicast_routes_by_learned_address() {
         let leaf_gua: Ipv6Addr = "2001:db8:10:1::ee:1".parse().unwrap();
-        let v6 = crate::wire::udp6_frame(
-            leaf_mac(1),
-            addrs::ROUTER_MAC,
-            leaf_gua,
-            "2001:db8:2::53".parse().unwrap(),
-            5000,
-            53,
-            b"q".to_vec(),
-        );
+        let v6 = {
+            let mut f = Vec::new();
+            crate::wire::udp_frame(
+                &mut f,
+                leaf_mac(1),
+                addrs::ROUTER_MAC,
+                PseudoHeader::V6 {
+                    src: leaf_gua,
+                    dst: "2001:db8:2::53".parse().unwrap(),
+                },
+                5000,
+                53,
+                b"q",
+            );
+            f
+        };
         let mut br = BorderRouter::new(
             7,
             vec![
@@ -579,15 +605,22 @@ mod tests {
         let _ = run_start(&mut br);
         // A reply from the router to the learned leaf GUA, addressed to
         // the border router's MAC (as the router would after ND).
-        let reply = crate::wire::udp6_frame(
-            addrs::ROUTER_MAC,
-            addrs::BORDER_ROUTER_MAC,
-            "2001:db8:2::53".parse().unwrap(),
-            leaf_gua,
-            53,
-            5000,
-            b"a".to_vec(),
-        );
+        let reply = {
+            let mut f = Vec::new();
+            crate::wire::udp_frame(
+                &mut f,
+                addrs::ROUTER_MAC,
+                addrs::BORDER_ROUTER_MAC,
+                PseudoHeader::V6 {
+                    src: "2001:db8:2::53".parse().unwrap(),
+                    dst: leaf_gua,
+                },
+                53,
+                5000,
+                b"a",
+            );
+            f
+        };
         let mut rng = StdRng::seed_from_u64(2);
         let mut fx = Effects::new(&mut rng);
         br.on_frame(SimTime::from_millis(1), &reply, &mut fx);
@@ -602,15 +635,22 @@ mod tests {
         let l2 = br.leaf(1).as_any().downcast_ref::<Leaf>().unwrap();
         assert!(l2.heard.is_empty(), "other leaves stay silent");
         // An unknown destination is dropped and counted.
-        let stray = crate::wire::udp6_frame(
-            addrs::ROUTER_MAC,
-            addrs::BORDER_ROUTER_MAC,
-            "2001:db8:2::53".parse().unwrap(),
-            "2001:db8:10:1::dead".parse().unwrap(),
-            53,
-            5000,
-            b"x".to_vec(),
-        );
+        let stray = {
+            let mut f = Vec::new();
+            crate::wire::udp_frame(
+                &mut f,
+                addrs::ROUTER_MAC,
+                addrs::BORDER_ROUTER_MAC,
+                PseudoHeader::V6 {
+                    src: "2001:db8:2::53".parse().unwrap(),
+                    dst: "2001:db8:10:1::dead".parse().unwrap(),
+                },
+                53,
+                5000,
+                b"x",
+            );
+            f
+        };
         br.on_frame(SimTime::from_millis(2), &stray, &mut fx);
         assert_eq!(br.no_route_drops, 1);
     }
@@ -633,21 +673,26 @@ mod tests {
             ],
         );
         let _ = run_start(&mut br);
-        let ra = crate::wire::icmpv6_frame(
-            addrs::ROUTER_MAC,
-            Mac::new(0x33, 0x33, 0, 0, 0, 1),
-            addrs::ROUTER_LLA,
-            "ff02::1".parse().unwrap(),
-            &icmpv6::Repr::Ndp(ndp::Repr::RouterAdvert {
-                hop_limit: 64,
-                managed: false,
-                other_config: false,
-                router_lifetime: 1800,
-                reachable_time: 0,
-                retrans_time: 0,
-                options: vec![],
-            }),
-        );
+        let ra = {
+            let mut f = Vec::new();
+            crate::wire::icmpv6_frame(
+                &mut f,
+                addrs::ROUTER_MAC,
+                Mac::new(0x33, 0x33, 0, 0, 0, 1),
+                addrs::ROUTER_LLA,
+                "ff02::1".parse().unwrap(),
+                &icmpv6::Repr::Ndp(ndp::Repr::RouterAdvert {
+                    hop_limit: 64,
+                    managed: false,
+                    other_config: false,
+                    router_lifetime: 1800,
+                    reachable_time: 0,
+                    retrans_time: 0,
+                    options: vec![],
+                }),
+            );
+            f
+        };
         let mut rng = StdRng::seed_from_u64(3);
         let mut fx = Effects::new(&mut rng);
         let frames_before = br.mesh_frames;

@@ -17,6 +17,7 @@ use crate::addrs;
 use crate::event::SimTime;
 use crate::faults::FaultPlan;
 use crate::host::Effects;
+use crate::wire::{eth_frame, icmpv6_frame, udp_frame};
 use std::collections::{HashMap, HashSet};
 use std::net::{Ipv4Addr, Ipv6Addr};
 use v6brick_net::dhcpv6::OPTION_DNS_SERVERS;
@@ -25,7 +26,7 @@ use v6brick_net::ipv4::Protocol;
 use v6brick_net::ipv6::{mcast, Ipv6AddrExt};
 use v6brick_net::ndp::{NdpOption, Repr as Ndp};
 use v6brick_net::udp::PseudoHeader;
-use v6brick_net::{arp, dhcpv4, dhcpv6, icmpv6, ipv4, ipv6, udp, Mac};
+use v6brick_net::{arp, dhcpv4, dhcpv6, ethernet, icmpv6, ipv4, ipv6, tcp, udp, Mac};
 
 /// How the CPE filters unsolicited IPv6 arriving from the WAN. IPv4 is
 /// always "filtered" as a side effect of NAT44; routed IPv6 has no such
@@ -191,7 +192,7 @@ impl Router {
             // The beacon keeps ticking through a suppression window so
             // RAs resume on schedule once the window closes.
             if !self.faults.ra_suppressed(now) {
-                fx.send_frame(self.build_ra(None));
+                fx.emit_frame(|b| self.emit_ra(b, None));
             }
             fx.set_timer(RA_PERIOD, TOKEN_PERIODIC_RA);
         }
@@ -232,14 +233,11 @@ impl Router {
                 return;
             }
             let dst = inner.dst();
-            // Routed (no NAT66): deliver to the on-link neighbor if known.
+            // Routed (no NAT66): deliver to the on-link neighbor if known,
+            // the decapsulated packet copied once into its LAN frame.
             if let Some(&mac) = self.neighbors_v6.get(&dst) {
-                fx.send_frame(eth_frame(
-                    addrs::ROUTER_MAC,
-                    mac,
-                    EtherType::Ipv6,
-                    p.payload(),
-                ));
+                let inner = p.payload();
+                fx.emit_frame(|b| eth_frame(b, addrs::ROUTER_MAC, mac, EtherType::Ipv6, inner));
             } else {
                 self.dropped += 1;
             }
@@ -266,13 +264,17 @@ impl Router {
             self.dropped += 1;
             return;
         };
-        let rewritten = rewrite_v4(&repr, p.payload(), None, Some((lan_ip, lan_port)));
-        fx.send_frame(eth_frame(
-            addrs::ROUTER_MAC,
-            mac,
-            EtherType::Ipv4,
-            &rewritten,
-        ));
+        let l4 = p.payload();
+        fx.emit_frame(|b| {
+            b.reserve_exact(ethernet::HEADER_LEN + ipv4::HEADER_LEN + l4.len());
+            EthRepr {
+                src: addrs::ROUTER_MAC,
+                dst: mac,
+                ethertype: EtherType::Ipv4,
+            }
+            .emit_into(b);
+            nat44_rewrite(b, &repr, l4, None, Some((lan_ip, lan_port)));
+        });
     }
 
     fn handle_arp(&mut self, src_mac: Mac, payload: &[u8], fx: &mut Effects) {
@@ -284,13 +286,8 @@ impl Router {
         };
         self.arp_table.insert(req.sender_ip, req.sender_mac);
         if req.operation == arp::Operation::Request && req.target_ip == addrs::ROUTER_IPV4 {
-            let reply = req.reply_to(addrs::ROUTER_MAC);
-            fx.send_frame(eth_frame(
-                addrs::ROUTER_MAC,
-                src_mac,
-                EtherType::Arp,
-                &reply.build(),
-            ));
+            let reply = req.reply_to(addrs::ROUTER_MAC).build();
+            fx.emit_frame(|b| eth_frame(b, addrs::ROUTER_MAC, src_mac, EtherType::Arp, &reply));
         }
     }
 
@@ -343,13 +340,10 @@ impl Router {
                 p
             }
         };
-        let rewritten = rewrite_v4(
-            &repr,
-            p.payload(),
-            Some((addrs::ROUTER_WAN_IPV4, wan_port)),
-            None,
-        );
-        fx.send_wan(rewritten);
+        let l4 = p.payload();
+        fx.emit_wan(|b| {
+            nat44_rewrite(b, &repr, l4, Some((addrs::ROUTER_WAN_IPV4, wan_port)), None)
+        });
     }
 
     fn handle_dhcpv4(&mut self, src_mac: Mac, payload: &[u8], fx: &mut Effects) {
@@ -374,29 +368,12 @@ impl Router {
         reply.subnet_mask = Some(Ipv4Addr::new(255, 255, 255, 0));
         reply.router = Some(addrs::ROUTER_IPV4);
         reply.dns_servers = vec![addrs::DNS4_PRIMARY, addrs::DNS4_SECONDARY];
-        let udp_bytes = udp::Repr {
-            src_port: 67,
-            dst_port: 68,
-            payload: reply.build(),
-        }
-        .build(PseudoHeader::V4 {
+        let ips = PseudoHeader::V4 {
             src: addrs::ROUTER_IPV4,
             dst: ip,
-        });
-        let ip_bytes = ipv4::Repr {
-            src: addrs::ROUTER_IPV4,
-            dst: ip,
-            protocol: Protocol::Udp,
-            ttl: 64,
-            payload_len: udp_bytes.len(),
-        }
-        .build(&udp_bytes);
-        fx.send_frame(eth_frame(
-            addrs::ROUTER_MAC,
-            src_mac,
-            EtherType::Ipv4,
-            &ip_bytes,
-        ));
+        };
+        let body = reply.build();
+        fx.emit_frame(|b| udp_frame(b, addrs::ROUTER_MAC, src_mac, ips, 67, 68, &body));
     }
 
     fn handle_ipv6(&mut self, now: SimTime, src_mac: Mac, payload: &[u8], fx: &mut Effects) {
@@ -463,7 +440,7 @@ impl Router {
             // Solicited RA, unicast to the soliciting node — unless a
             // suppression window is active.
             icmpv6::Repr::Ndp(Ndp::RouterSolicit { .. }) if !self.faults.ra_suppressed(now) => {
-                fx.send_frame(self.build_ra(Some((src_mac, ip.src))));
+                fx.emit_frame(|b| self.emit_ra(b, Some((src_mac, ip.src))));
             }
             icmpv6::Repr::Ndp(Ndp::NeighborSolicit { target, .. }) => {
                 // Record SLLAO if present.
@@ -484,16 +461,10 @@ impl Router {
                             target: *target,
                             options: vec![NdpOption::TargetLinkLayerAddr(addrs::ROUTER_MAC)],
                         });
-                        let body = na.build(addrs::ROUTER_LLA, ip.src);
-                        let pkt = ipv6::Repr {
-                            src: addrs::ROUTER_LLA,
-                            dst: ip.src,
-                            next_header: Protocol::Icmpv6,
-                            hop_limit: 255,
-                            payload_len: body.len(),
-                        }
-                        .build(&body);
-                        fx.send_frame(eth_frame(addrs::ROUTER_MAC, src_mac, EtherType::Ipv6, &pkt));
+                        let dst = ip.src;
+                        fx.emit_frame(|b| {
+                            icmpv6_frame(b, addrs::ROUTER_MAC, src_mac, addrs::ROUTER_LLA, dst, &na)
+                        });
                     }
                 }
             }
@@ -565,24 +536,12 @@ impl Router {
             _ => None,
         };
         if let Some(reply) = reply {
-            let udp_bytes = udp::Repr {
-                src_port: 547,
-                dst_port: 546,
-                payload: reply.build(),
-            }
-            .build(PseudoHeader::V6 {
+            let ips = PseudoHeader::V6 {
                 src: addrs::ROUTER_LLA,
                 dst: src,
-            });
-            let pkt = ipv6::Repr {
-                src: addrs::ROUTER_LLA,
-                dst: src,
-                next_header: Protocol::Udp,
-                hop_limit: 64,
-                payload_len: udp_bytes.len(),
-            }
-            .build(&udp_bytes);
-            fx.send_frame(eth_frame(addrs::ROUTER_MAC, src_mac, EtherType::Ipv6, &pkt));
+            };
+            let body = reply.build();
+            fx.emit_frame(|b| udp_frame(b, addrs::ROUTER_MAC, src_mac, ips, 547, 546, &body));
         }
     }
 
@@ -601,7 +560,12 @@ impl Router {
 
     /// Route a unicast IPv6 packet: on-link stays switched; off-link GUAs
     /// go through the tunnel. ULAs and LLAs are never routed off-link.
-    fn route_v6(&mut self, repr: &ipv6::Repr, full_packet: &[u8], fx: &mut Effects) {
+    ///
+    /// `l3` is the frame's whole Ethernet payload; exactly the packet its
+    /// header declares (`40 + payload_len` bytes) is encapsulated, so
+    /// trailing bytes never leak into the tunnel, and a packet whose 6in4
+    /// encapsulation would overflow the IPv4 total length is dropped.
+    fn route_v6(&mut self, repr: &ipv6::Repr, l3: &[u8], fx: &mut Effects) {
         if repr.dst.is_multicast() || repr.dst == addrs::ROUTER_LLA || repr.dst == addrs::ROUTER_GUA
         {
             return;
@@ -618,23 +582,30 @@ impl Router {
             self.dropped += 1;
             return;
         }
+        let packet = &l3[..ipv6::HEADER_LEN + repr.payload_len];
+        if ipv4::HEADER_LEN + packet.len() > usize::from(u16::MAX) {
+            self.dropped += 1;
+            return;
+        }
         // An outbound flow opens a stateful pinhole for its return
         // traffic, whatever the firewall policy.
-        if let Ok(p6) = ipv6::Packet::new_checked(full_packet) {
-            if let Some((proto, src_port, dst_port)) = flow_v6(repr, p6.payload()) {
-                self.v6_flows
-                    .insert((repr.src, repr.dst, proto, src_port, dst_port));
+        if let Some((proto, src_port, dst_port)) = flow_v6(repr, &packet[ipv6::HEADER_LEN..]) {
+            self.v6_flows
+                .insert((repr.src, repr.dst, proto, src_port, dst_port));
+        }
+        fx.emit_wan(|b| {
+            b.reserve_exact(ipv4::HEADER_LEN + packet.len());
+            let tunnel = ipv4::Repr {
+                src: addrs::ROUTER_WAN_IPV4,
+                dst: addrs::TUNNEL_REMOTE_IPV4,
+                protocol: Protocol::Ipv6,
+                ttl: 64,
+                payload_len: packet.len(),
             }
-        }
-        let encap = ipv4::Repr {
-            src: addrs::ROUTER_WAN_IPV4,
-            dst: addrs::TUNNEL_REMOTE_IPV4,
-            protocol: Protocol::Ipv6,
-            ttl: 64,
-            payload_len: full_packet.len(),
-        }
-        .build(full_packet);
-        fx.send_wan(encap);
+            .open(b);
+            b.extend_from_slice(packet);
+            tunnel.close(b);
+        });
     }
 
     /// Does the WAN firewall policy let this decapsulated inbound IPv6
@@ -667,9 +638,9 @@ impl Router {
         false
     }
 
-    /// Construct a Router Advertisement frame (multicast, or unicast to a
+    /// Append a Router Advertisement frame (multicast, or unicast to a
     /// soliciting node).
-    fn build_ra(&self, unicast_to: Option<(Mac, Ipv6Addr)>) -> Vec<u8> {
+    fn emit_ra(&self, buf: &mut Vec<u8>, unicast_to: Option<(Mac, Ipv6Addr)>) {
         let mut options = vec![
             NdpOption::SourceLinkLayerAddr(addrs::ROUTER_MAC),
             NdpOption::Mtu(1480), // 6in4 tunnel MTU
@@ -701,16 +672,14 @@ impl Router {
             Some((mac, ip)) if !ip.is_unspecified() => (mac, ip),
             _ => (Mac::for_ipv6_multicast(mcast::ALL_NODES), mcast::ALL_NODES),
         };
-        let body = ra.build(addrs::ROUTER_LLA, dst_ip);
-        let pkt = ipv6::Repr {
-            src: addrs::ROUTER_LLA,
-            dst: dst_ip,
-            next_header: Protocol::Icmpv6,
-            hop_limit: 255,
-            payload_len: body.len(),
-        }
-        .build(&body);
-        eth_frame(addrs::ROUTER_MAC, dst_mac, EtherType::Ipv6, &pkt)
+        icmpv6_frame(
+            buf,
+            addrs::ROUTER_MAC,
+            dst_mac,
+            addrs::ROUTER_LLA,
+            dst_ip,
+            &ra,
+        );
     }
 }
 
@@ -729,16 +698,6 @@ fn ia_with(addr: Ipv6Addr, iaid: u32) -> dhcpv6::IaNa {
     }
 }
 
-/// Build an Ethernet frame.
-pub fn eth_frame(src: Mac, dst: Mac, ethertype: EtherType, payload: &[u8]) -> Vec<u8> {
-    EthRepr {
-        src,
-        dst,
-        ethertype,
-    }
-    .build(payload)
-}
-
 /// (proto byte, src_port, dst_port) flow tuple of a v6 payload. ICMPv6
 /// flows are keyed on the address pair alone (ports 0/0), which pairs an
 /// outbound echo request with its inbound reply.
@@ -749,7 +708,7 @@ fn flow_v6(repr: &ipv6::Repr, l4: &[u8]) -> Option<(u8, u16, u16)> {
             Some((17, u.src_port(), u.dst_port()))
         }
         Protocol::Tcp => {
-            let t = v6brick_net::tcp::Packet::new_checked(l4).ok()?;
+            let t = tcp::Packet::new_checked(l4).ok()?;
             Some((6, t.src_port(), t.dst_port()))
         }
         Protocol::Icmpv6 => Some((58, 0, 0)),
@@ -765,54 +724,70 @@ fn extract_ports_v4(repr: &ipv4::Repr, payload: &[u8]) -> Option<(u16, u16, u8)>
             Some((u.src_port(), u.dst_port(), 17))
         }
         Protocol::Tcp => {
-            let t = v6brick_net::tcp::Packet::new_checked(payload).ok()?;
+            let t = tcp::Packet::new_checked(payload).ok()?;
             Some((t.src_port(), t.dst_port(), 6))
         }
         _ => None,
     }
 }
 
-/// Rewrite an IPv4 packet for NAT: change source (outbound) or destination
-/// (inbound) address+port, recomputing all checksums.
-fn rewrite_v4(
-    repr: &ipv4::Repr,
+/// Append `ip`'s packet, rewritten for NAT44, to `buf`: the source
+/// (outbound) or destination (inbound) address and port replaced, the TTL
+/// decremented, and the IPv4 and transport checksums recomputed over the
+/// buffer. The headers are written fresh from the parsed fields (no IP
+/// or TCP options, zeroed identification and urgent pointer) and the
+/// transport payload is copied once behind them.
+///
+/// # Panics
+/// `l4` must be a TCP segment or UDP datagram that passes `new_checked`
+/// (the router checks this while reading the ports).
+pub fn nat44_rewrite(
+    buf: &mut Vec<u8>,
+    ip: &ipv4::Repr,
     l4: &[u8],
     new_src: Option<(Ipv4Addr, u16)>,
     new_dst: Option<(Ipv4Addr, u16)>,
-) -> Vec<u8> {
-    let src = new_src.map(|(ip, _)| ip).unwrap_or(repr.src);
-    let dst = new_dst.map(|(ip, _)| ip).unwrap_or(repr.dst);
-    let l4_new = match repr.protocol {
-        Protocol::Udp => {
-            let u = udp::Packet::new_checked(l4).expect("caller verified");
-            udp::Repr {
-                src_port: new_src.map(|(_, p)| p).unwrap_or_else(|| u.src_port()),
-                dst_port: new_dst.map(|(_, p)| p).unwrap_or_else(|| u.dst_port()),
-                payload: u.payload().to_vec(),
-            }
-            .build(PseudoHeader::V4 { src, dst })
-        }
-        Protocol::Tcp => {
-            let t = v6brick_net::tcp::Packet::new_checked(l4).expect("caller verified");
-            let mut seg = v6brick_net::tcp::Repr::parse(&t);
-            if let Some((_, p)) = new_src {
-                seg.src_port = p;
-            }
-            if let Some((_, p)) = new_dst {
-                seg.dst_port = p;
-            }
-            seg.build(PseudoHeader::V4 { src, dst })
-        }
-        _ => l4.to_vec(),
-    };
-    ipv4::Repr {
+) {
+    let src = new_src.map(|(a, _)| a).unwrap_or(ip.src);
+    let dst = new_dst.map(|(a, _)| a).unwrap_or(ip.dst);
+    let ips = PseudoHeader::V4 { src, dst };
+    buf.reserve_exact(ipv4::HEADER_LEN + l4.len());
+    let out = ipv4::Repr {
         src,
         dst,
-        protocol: repr.protocol,
-        ttl: repr.ttl.saturating_sub(1),
-        payload_len: l4_new.len(),
+        protocol: ip.protocol,
+        ttl: ip.ttl.saturating_sub(1),
+        payload_len: 0,
     }
-    .build(&l4_new)
+    .open(buf);
+    match ip.protocol {
+        Protocol::Udp => {
+            let u = udp::Packet::new_checked(l4).expect("caller verified");
+            let transport = udp::open(
+                buf,
+                new_src.map(|(_, p)| p).unwrap_or_else(|| u.src_port()),
+                new_dst.map(|(_, p)| p).unwrap_or_else(|| u.dst_port()),
+                ips,
+            );
+            buf.extend_from_slice(u.payload());
+            transport.close(buf);
+        }
+        Protocol::Tcp => {
+            let t = tcp::Packet::new_checked(l4).expect("caller verified");
+            let mut header = tcp::Header::parse(&t);
+            if let Some((_, p)) = new_src {
+                header.src_port = p;
+            }
+            if let Some((_, p)) = new_dst {
+                header.dst_port = p;
+            }
+            let transport = header.open(buf, ips);
+            buf.extend_from_slice(t.payload());
+            transport.close(buf);
+        }
+        _ => buf.extend_from_slice(l4),
+    }
+    out.close(buf);
 }
 
 impl RouterConfig {
@@ -908,6 +883,13 @@ mod tests {
         Mac::new(2, 0, 0, 0, 0, 0x42)
     }
 
+    /// A whole Ethernet frame in a fresh buffer.
+    fn eth_frame(src: Mac, dst: Mac, ethertype: EtherType, payload: &[u8]) -> Vec<u8> {
+        let mut f = Vec::new();
+        crate::wire::eth_frame(&mut f, src, dst, ethertype, payload);
+        f
+    }
+
     #[test]
     fn table2_configs() {
         assert!(!RouterConfig::ipv4_only().ipv6);
@@ -949,7 +931,7 @@ mod tests {
         let reply = v6brick_net::parse::ParsedPacket::parse(&fx.frames[0]).unwrap();
         match reply.l4 {
             v6brick_net::parse::L4::Udp { payload, .. } => {
-                let offer = dhcpv4::Repr::parse_bytes(&payload).unwrap();
+                let offer = dhcpv4::Repr::parse_bytes(payload).unwrap();
                 assert_eq!(offer.message_type, dhcpv4::MessageType::Offer);
                 assert_eq!(offer.your_addr, Ipv4Addr::new(192, 168, 1, 100));
                 assert_eq!(

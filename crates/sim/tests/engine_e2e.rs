@@ -9,6 +9,7 @@ use v6brick_net::dns::{Message, Name, RecordType};
 use v6brick_net::ipv6::mcast;
 use v6brick_net::ndp::{NdpOption, Repr as Ndp};
 use v6brick_net::parse::{Net, ParsedPacket, L4};
+use v6brick_net::udp::PseudoHeader;
 use v6brick_net::{dhcpv4, icmpv6, tcp, Mac};
 use v6brick_sim::event::SimTime;
 use v6brick_sim::host::{Effects, Host};
@@ -119,38 +120,51 @@ impl Host for Client {
             1 => {
                 // DHCP DISCOVER + RS.
                 let d = dhcpv4::Repr::client(dhcpv4::MessageType::Discover, 7, self.mac());
-                fx.send_frame(wire::udp4_frame(
-                    self.mac(),
-                    Mac::BROADCAST,
-                    Ipv4Addr::UNSPECIFIED,
-                    Ipv4Addr::BROADCAST,
-                    68,
-                    67,
-                    d.build(),
-                ));
+                fx.emit_frame(|f| {
+                    wire::udp_frame(
+                        f,
+                        self.mac(),
+                        Mac::BROADCAST,
+                        PseudoHeader::V4 {
+                            src: Ipv4Addr::UNSPECIFIED,
+                            dst: Ipv4Addr::BROADCAST,
+                        },
+                        68,
+                        67,
+                        &d.build(),
+                    )
+                });
                 let rs = icmpv6::Repr::Ndp(Ndp::RouterSolicit { options: vec![] });
-                fx.send_frame(wire::icmpv6_frame(
-                    self.mac(),
-                    Mac::for_ipv6_multicast(mcast::ALL_ROUTERS),
-                    Ipv6Addr::UNSPECIFIED,
-                    mcast::ALL_ROUTERS,
-                    &rs,
-                ));
+                fx.emit_frame(|f| {
+                    wire::icmpv6_frame(
+                        f,
+                        self.mac(),
+                        Mac::for_ipv6_multicast(mcast::ALL_ROUTERS),
+                        Ipv6Addr::UNSPECIFIED,
+                        mcast::ALL_ROUTERS,
+                        &rs,
+                    )
+                });
             }
             2 => {
                 // DHCP REQUEST.
                 let mut r = dhcpv4::Repr::client(dhcpv4::MessageType::Request, 7, self.mac());
                 r.requested_ip = self.v4;
                 r.server_id = Some(addrs::ROUTER_IPV4);
-                fx.send_frame(wire::udp4_frame(
-                    self.mac(),
-                    Mac::BROADCAST,
-                    Ipv4Addr::UNSPECIFIED,
-                    Ipv4Addr::BROADCAST,
-                    68,
-                    67,
-                    r.build(),
-                ));
+                fx.emit_frame(|f| {
+                    wire::udp_frame(
+                        f,
+                        self.mac(),
+                        Mac::BROADCAST,
+                        PseudoHeader::V4 {
+                            src: Ipv4Addr::UNSPECIFIED,
+                            dst: Ipv4Addr::BROADCAST,
+                        },
+                        68,
+                        67,
+                        &r.build(),
+                    )
+                });
                 // Announce the GUA so the tunnel can route back.
                 if let Some(gua) = self.gua {
                     let na = icmpv6::Repr::Ndp(Ndp::NeighborAdvert {
@@ -160,64 +174,81 @@ impl Host for Client {
                         target: gua,
                         options: vec![NdpOption::TargetLinkLayerAddr(self.mac())],
                     });
-                    fx.send_frame(wire::icmpv6_frame(
-                        self.mac(),
-                        Mac::for_ipv6_multicast(mcast::ALL_NODES),
-                        gua,
-                        mcast::ALL_NODES,
-                        &na,
-                    ));
+                    fx.emit_frame(|f| {
+                        wire::icmpv6_frame(
+                            f,
+                            self.mac(),
+                            Mac::for_ipv6_multicast(mcast::ALL_NODES),
+                            gua,
+                            mcast::ALL_NODES,
+                            &na,
+                        )
+                    });
                 }
             }
             3 => {
                 // DNS over v4 (A) and v6 (AAAA).
                 if let (Some(v4), Some(gw)) = (self.v4, self.gw_mac) {
                     let q = Message::query(1, Name::new("svc.e2e.example").unwrap(), RecordType::A);
-                    fx.send_frame(wire::udp4_frame(
-                        self.mac(),
-                        gw,
-                        v4,
-                        addrs::DNS4_PRIMARY,
-                        40000,
-                        53,
-                        q.build(),
-                    ));
+                    fx.emit_frame(|f| {
+                        wire::udp_frame(
+                            f,
+                            self.mac(),
+                            gw,
+                            PseudoHeader::V4 {
+                                src: v4,
+                                dst: addrs::DNS4_PRIMARY,
+                            },
+                            40000,
+                            53,
+                            &q.build(),
+                        )
+                    });
                 }
                 if let (Some(gua), Some(rm)) = (self.gua, self.router_mac) {
                     let q =
                         Message::query(2, Name::new("svc.e2e.example").unwrap(), RecordType::Aaaa);
-                    fx.send_frame(wire::udp6_frame(
-                        self.mac(),
-                        rm,
-                        gua,
-                        addrs::DNS6_PRIMARY,
-                        40001,
-                        53,
-                        q.build(),
-                    ));
+                    fx.emit_frame(|f| {
+                        wire::udp_frame(
+                            f,
+                            self.mac(),
+                            rm,
+                            PseudoHeader::V6 {
+                                src: gua,
+                                dst: addrs::DNS6_PRIMARY,
+                            },
+                            40001,
+                            53,
+                            &q.build(),
+                        )
+                    });
                 }
             }
             4 => {
                 // TCP SYN over both families.
                 if let (Some(v4), Some(gw), Some(dst)) = (self.v4, self.gw_mac, self.resolved_a) {
-                    fx.send_frame(wire::tcp4_frame(
-                        self.mac(),
-                        gw,
-                        v4,
-                        dst,
-                        &tcp::Repr::syn(41000, 443, 9),
-                    ));
+                    fx.emit_frame(|f| {
+                        wire::tcp_frame(
+                            f,
+                            self.mac(),
+                            gw,
+                            PseudoHeader::V4 { src: v4, dst },
+                            &tcp::Repr::syn(41000, 443, 9),
+                        )
+                    });
                 }
                 if let (Some(gua), Some(rm), Some(dst)) =
                     (self.gua, self.router_mac, self.resolved_aaaa)
                 {
-                    fx.send_frame(wire::tcp6_frame(
-                        self.mac(),
-                        rm,
-                        gua,
-                        dst,
-                        &tcp::Repr::syn(41001, 443, 9),
-                    ));
+                    fx.emit_frame(|f| {
+                        wire::tcp_frame(
+                            f,
+                            self.mac(),
+                            rm,
+                            PseudoHeader::V6 { src: gua, dst },
+                            &tcp::Repr::syn(41001, 443, 9),
+                        )
+                    });
                 }
             }
             _ => return,

@@ -160,3 +160,74 @@ proptest! {
         }
     }
 }
+
+/// A LAN frame from a device GUA to an off-link server: an IPv6 packet
+/// whose header declares `declared` payload bytes, followed by the
+/// payload and `trailing` extra bytes the header does not cover.
+fn oversized_v6_frame(declared: usize, trailing: usize, fill: u8) -> Vec<u8> {
+    let src = Mac::new(2, 0, 0, 0, 0, 0x42).slaac_address(addrs::LAN_PREFIX);
+    let dst: Ipv6Addr = "2001:db8:ffff::1".parse().unwrap();
+    let mut frame = Vec::with_capacity(ethernet::HEADER_LEN + 40 + declared + trailing);
+    ethernet::Repr {
+        src: Mac::new(2, 0, 0, 0, 0, 0x42),
+        dst: addrs::ROUTER_MAC,
+        ethertype: ethernet::EtherType::Ipv6,
+    }
+    .emit_into(&mut frame);
+    // Header by hand: the payload length is whatever the test declares,
+    // next header "no next header" (59) so only routing looks at it.
+    frame.extend_from_slice(&[0x60, 0, 0, 0]);
+    frame.extend_from_slice(&(declared as u16).to_be_bytes());
+    frame.extend_from_slice(&[59, 64]);
+    frame.extend_from_slice(&src.octets());
+    frame.extend_from_slice(&dst.octets());
+    frame.resize(frame.len() + declared, fill);
+    frame.resize(frame.len() + trailing, !fill);
+    frame
+}
+
+/// Run one LAN frame through a dual-stack router; (WAN packets, drops).
+fn route(frame: &[u8]) -> (Vec<Vec<u8>>, u64) {
+    let mut router = Router::new(RouterConfig::dual_stack());
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut fx = Effects::new(&mut rng);
+    router.on_frame(SimTime::from_secs(1), frame, &mut fx);
+    (fx.wan, router.dropped)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Bytes after the declared IPv6 packet never reach the tunnel: the
+    /// 6in4 payload is exactly the `40 + payload_len` bytes the header
+    /// declares, for payloads up to the largest that still fits.
+    #[test]
+    fn tunnel_carries_exactly_the_declared_packet(
+        declared in 0usize..=65_475,
+        trailing in 0usize..64,
+        fill in any::<u8>(),
+    ) {
+        let frame = oversized_v6_frame(declared, trailing, fill);
+        let (wan, dropped) = route(&frame);
+        prop_assert_eq!(dropped, 0);
+        prop_assert_eq!(wan.len(), 1);
+        let outer = ipv4::Packet::new_checked(&wan[0][..]).unwrap();
+        prop_assert_eq!(outer.protocol(), Protocol::Ipv6);
+        let packet = &frame[ethernet::HEADER_LEN..ethernet::HEADER_LEN + 40 + declared];
+        prop_assert_eq!(outer.payload(), packet);
+    }
+
+    /// A LAN packet whose 6in4 encapsulation would overflow the IPv4
+    /// total length is dropped and counted, never a panic.
+    #[test]
+    fn oversized_tunnel_packets_are_dropped(
+        declared in 65_476usize..=65_535,
+        trailing in 0usize..64,
+        fill in any::<u8>(),
+    ) {
+        let frame = oversized_v6_frame(declared, trailing, fill);
+        let (wan, dropped) = route(&frame);
+        prop_assert!(wan.is_empty());
+        prop_assert_eq!(dropped, 1);
+    }
+}

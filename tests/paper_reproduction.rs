@@ -371,3 +371,58 @@ fn verdicts_are_seed_invariant() {
         assert_eq!(oa.aaaa_q_v6, ob.aaaa_q_v6, "{id}: same names queried");
     }
 }
+
+/// FNV-1a 64 over a byte string: the digest behind the byte-identity pin.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
+}
+
+#[test]
+fn per_config_analysis_bytes_are_pinned() {
+    // Every config's serialized per-device observations and frame totals,
+    // pinned byte for byte: a change to how frames are built or parsed
+    // that moves any measurement, however compensated, fails here.
+    let got: Vec<(String, u64, u64, u64)> = suite()
+        .runs()
+        .iter()
+        .map(|r| {
+            let json = serde_json::to_string(&r.analysis.devices).unwrap();
+            (
+                format!("{:?}", r.config),
+                r.frames,
+                r.analysis.frames,
+                fnv1a(json.as_bytes()),
+            )
+        })
+        .collect();
+    let want = [
+        ("Ipv4Only", 84_783, 84_783, 11_301_103_161_401_590_277),
+        ("Ipv6Only", 34_613, 34_613, 13_038_443_595_376_581_809),
+        (
+            "Ipv6OnlyRdnssOnly",
+            32_089,
+            32_089,
+            9_724_182_722_086_566_521,
+        ),
+        (
+            "Ipv6OnlyStateful",
+            34_686,
+            34_686,
+            18_194_549_520_659_379_827,
+        ),
+        ("DualStack", 91_481, 91_481, 10_784_231_561_650_103_578),
+        (
+            "DualStackStateful",
+            91_548,
+            91_548,
+            14_643_165_719_822_029_634,
+        ),
+    ]
+    .map(|(c, f, a, d)| (c.to_string(), f, a, d));
+    assert_eq!(got, want);
+}
