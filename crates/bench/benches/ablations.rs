@@ -265,33 +265,17 @@ fn bench_capture_ablation(c: &mut Criterion) {
 /// and walks it a second time. DESIGN.md §4 cites this group.
 fn bench_streaming_ablation(c: &mut Criterion) {
     use v6brick_core::observe::{self, StreamingAnalyzer};
-    use v6brick_devices::registry;
-    use v6brick_devices::stack::IotDevice;
-    use v6brick_experiments::{scenario, NetworkConfig};
-    use v6brick_sim::{Internet, Router, SimTime, SimulationBuilder};
+    use v6brick_experiments::scenario;
 
-    let ids = [
-        "echo_show_5",
-        "nest_camera",
-        "google_home_mini",
-        "aqara_hub",
-    ];
-    let profiles: Vec<_> = ids.iter().map(|id| registry::by_id(id)).collect();
-    let zones = scenario::build_zones(&profiles);
-    let mut b = SimulationBuilder::new(
-        Router::new(NetworkConfig::DualStack.router_config()),
-        Internet::new(zones),
+    let (capture, macs) = v6brick_bench::household_capture(
+        &[
+            "echo_show_5",
+            "nest_camera",
+            "google_home_mini",
+            "aqara_hub",
+        ],
+        180,
     );
-    let macs: Vec<_> = profiles
-        .iter()
-        .map(|p| {
-            b.add_host(Box::new(IotDevice::new(p.clone())));
-            (p.mac, p.id.clone())
-        })
-        .collect();
-    let mut sim = b.build();
-    sim.run_until(SimTime::from_secs(180));
-    let capture = sim.take_capture();
     // The tap replay: the exact (timestamp, frame) stream a sink sees.
     let frames: Vec<(u64, Vec<u8>)> = capture
         .iter()
@@ -334,34 +318,18 @@ fn bench_streaming_ablation(c: &mut Criterion) {
 fn bench_ablation_passes(c: &mut Criterion) {
     use v6brick_core::analysis::PassId;
     use v6brick_core::observe::StreamingAnalyzer;
-    use v6brick_devices::registry;
-    use v6brick_devices::stack::IotDevice;
     use v6brick_experiments::fleet::{self, CampaignSpec, POPULATION_PASSES};
-    use v6brick_experiments::{scenario, NetworkConfig};
-    use v6brick_sim::{Internet, Router, SimTime, SimulationBuilder};
+    use v6brick_experiments::scenario;
 
-    let ids = [
-        "echo_show_5",
-        "nest_camera",
-        "google_home_mini",
-        "aqara_hub",
-    ];
-    let profiles: Vec<_> = ids.iter().map(|id| registry::by_id(id)).collect();
-    let zones = scenario::build_zones(&profiles);
-    let mut b = SimulationBuilder::new(
-        Router::new(NetworkConfig::DualStack.router_config()),
-        Internet::new(zones),
+    let (capture, macs) = v6brick_bench::household_capture(
+        &[
+            "echo_show_5",
+            "nest_camera",
+            "google_home_mini",
+            "aqara_hub",
+        ],
+        180,
     );
-    let macs: Vec<_> = profiles
-        .iter()
-        .map(|p| {
-            b.add_host(Box::new(IotDevice::new(p.clone())));
-            (p.mac, p.id.clone())
-        })
-        .collect();
-    let mut sim = b.build();
-    sim.run_until(SimTime::from_secs(180));
-    let capture = sim.take_capture();
     let frames: Vec<(u64, Vec<u8>)> = capture
         .iter()
         .map(|p| (p.timestamp_us, p.data.to_vec()))

@@ -2,48 +2,29 @@
 //! the paper's observations.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
+use v6brick_bench::household_capture;
 use v6brick_core::flows::FlowTable;
 use v6brick_core::observe;
 use v6brick_devices::registry;
-use v6brick_devices::stack::IotDevice;
 use v6brick_experiments::{scenario, NetworkConfig};
-use v6brick_net::Mac;
+use v6brick_pcap::format;
 use v6brick_pcap::stats::CaptureStats;
-use v6brick_pcap::{format, Capture};
-use v6brick_sim::{Internet, Router, SimTime, SimulationBuilder};
-
-/// A realistic dual-stack capture from an 8-device household.
-fn household_capture() -> (Capture, Vec<(Mac, String)>) {
-    let ids = [
-        "echo_show_5",
-        "nest_camera",
-        "google_home_mini",
-        "aqara_hub",
-        "homepod_mini",
-        "apple_tv",
-        "samsung_fridge",
-        "hue_hub",
-    ];
-    let profiles: Vec<_> = ids.iter().map(|id| registry::by_id(id)).collect();
-    let zones = scenario::build_zones(&profiles);
-    let mut b = SimulationBuilder::new(
-        Router::new(NetworkConfig::DualStack.router_config()),
-        Internet::new(zones),
-    );
-    let macs: Vec<_> = profiles
-        .iter()
-        .map(|p| {
-            b.add_host(Box::new(IotDevice::new(p.clone())));
-            (p.mac, p.id.clone())
-        })
-        .collect();
-    let mut sim = b.build();
-    sim.run_until(SimTime::from_secs(240));
-    (sim.take_capture(), macs)
-}
 
 fn bench_pipeline(c: &mut Criterion) {
-    let (capture, macs) = household_capture();
+    // A realistic dual-stack capture from an 8-device household.
+    let (capture, macs) = household_capture(
+        &[
+            "echo_show_5",
+            "nest_camera",
+            "google_home_mini",
+            "aqara_hub",
+            "homepod_mini",
+            "apple_tv",
+            "samsung_fridge",
+            "hue_hub",
+        ],
+        240,
+    );
     let bytes = capture.total_bytes();
 
     let mut g = c.benchmark_group("pipeline");
@@ -94,8 +75,9 @@ fn bench_pipeline(c: &mut Criterion) {
         b.iter(|| {
             let ids = ["echo_show_5", "nest_camera", "google_home_mini"];
             let profiles: Vec<_> = ids.iter().map(|id| registry::by_id(id)).collect();
-            let run = scenario::run_with_profiles(NetworkConfig::DualStack, &profiles);
-            black_box(run.frames)
+            let home = scenario::Home::new(NetworkConfig::DualStack, &profiles);
+            let run = scenario::run(&home, scenario::build_zones(&profiles));
+            black_box(run.run.frames)
         })
     });
     g.finish();

@@ -27,7 +27,13 @@ fn bench_tables(c: &mut Criterion) {
     let mut g = c.benchmark_group("experiment");
     g.sample_size(10);
     g.bench_function("ipv6_only_full_testbed", |b| {
-        b.iter(|| black_box(scenario::run(NetworkConfig::Ipv6Only)).frames)
+        b.iter(|| {
+            let profiles = v6brick_devices::registry::shared();
+            let home = scenario::Home::new(NetworkConfig::Ipv6Only, profiles);
+            black_box(scenario::run(&home, scenario::build_zones(profiles)))
+                .run
+                .frames
+        })
     });
     g.finish();
 

@@ -23,7 +23,7 @@
 //! (CI's fault-matrix smoke job diffs exactly that).
 
 use crate::config::NetworkConfig;
-use crate::scenario;
+use crate::scenario::{self, Home};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use v6brick_core::analysis::PassId;
@@ -99,15 +99,13 @@ pub struct PresetReport {
 pub fn run_preset(preset: &str, seed: u64) -> Option<PresetReport> {
     let plan = preset_plan(preset, seed)?;
     let profiles = preset_profiles();
-    let duration = scenario::EXPERIMENT_DURATION;
-    let faulted = scenario::run_faulted(
-        NetworkConfig::DualStack,
-        &profiles,
+    let home = Home {
         seed,
-        duration,
-        &[PassId::Traffic],
-        plan,
-    );
+        passes: &[PassId::Traffic],
+        faults: plan,
+        ..Home::new(NetworkConfig::DualStack, &profiles)
+    };
+    let faulted = scenario::run(&home, scenario::build_zones(&profiles));
     let mut outage = OutageReport::default();
     for p in &profiles {
         let switches = faulted.switches.get(&p.id).cloned().unwrap_or_default();
@@ -117,7 +115,7 @@ pub fn run_preset(preset: &str, seed: u64) -> Option<PresetReport> {
         preset: preset.to_string(),
         seed,
         config: faulted.run.config.label().to_string(),
-        duration_s: duration.as_micros() / 1_000_000,
+        duration_s: home.duration.as_micros() / 1_000_000,
         frames: faulted.run.frames,
         tunnel_drops: faulted.tunnel_drops,
         functional: faulted.run.functional,

@@ -7,19 +7,29 @@
 //! networks are *strictly harsher* than the consumer IPv6-only rows.
 
 use crate::render::TextTable;
-use crate::scenario::{self, ExperimentRun};
+use crate::scenario::{self, ExperimentRun, Home};
 use crate::NetworkConfig;
+use v6brick_devices::profile::DeviceProfile;
 use v6brick_devices::registry;
 
 /// Run the enterprise experiment over the full registry.
 pub fn run() -> ExperimentRun {
-    scenario::run_with_profiles(NetworkConfig::Ipv6OnlyEnterprise, &registry::build())
+    run_on(NetworkConfig::Ipv6OnlyEnterprise, registry::shared())
+}
+
+/// The paper's home over `profiles` under `config`.
+fn run_on(config: NetworkConfig, profiles: &[DeviceProfile]) -> ExperimentRun {
+    scenario::run(
+        &Home::new(config, profiles),
+        scenario::build_zones(profiles),
+    )
+    .run
 }
 
 /// Render the comparison: enterprise vs the consumer IPv6-only baseline.
 pub fn report() -> TextTable {
     let enterprise = run();
-    let baseline = scenario::run(NetworkConfig::Ipv6Only);
+    let baseline = run_on(NetworkConfig::Ipv6Only, registry::shared());
 
     let mut t = TextTable::new(
         "Extension (paper §7): enterprise IPv6-only (DHCPv6 without SLAAC) vs consumer baseline",
@@ -84,7 +94,6 @@ pub fn report() -> TextTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use v6brick_devices::profile::DeviceProfile;
     use v6brick_net::ipv6::Ipv6AddrExt;
 
     fn profiles(ids: &[&str]) -> Vec<DeviceProfile> {
@@ -94,10 +103,7 @@ mod tests {
     #[test]
     fn slaac_only_device_gets_no_global_address() {
         // The Echo Plus relies on SLAAC; with A=0 it never forms a GUA.
-        let run = scenario::run_with_profiles(
-            NetworkConfig::Ipv6OnlyEnterprise,
-            &profiles(&["echo_plus"]),
-        );
+        let run = run_on(NetworkConfig::Ipv6OnlyEnterprise, &profiles(&["echo_plus"]));
         let o = run.analysis.device("echo_plus").unwrap();
         assert!(o.ndp_traffic, "it still solicits routers");
         assert!(
@@ -113,7 +119,7 @@ mod tests {
     fn stateful_capable_device_still_gets_an_address() {
         // The HomePod speaks stateful DHCPv6, so it obtains a global
         // address even without SLAAC.
-        let run = scenario::run_with_profiles(
+        let run = run_on(
             NetworkConfig::Ipv6OnlyEnterprise,
             &profiles(&["homepod_mini"]),
         );
@@ -140,8 +146,8 @@ mod tests {
             "samsung_fridge",
             "smartthings_hub",
         ];
-        let base = scenario::run_with_profiles(NetworkConfig::Ipv6Only, &profiles(&ids));
-        let ent = scenario::run_with_profiles(NetworkConfig::Ipv6OnlyEnterprise, &profiles(&ids));
+        let base = run_on(NetworkConfig::Ipv6Only, &profiles(&ids));
+        let ent = run_on(NetworkConfig::Ipv6OnlyEnterprise, &profiles(&ids));
         let gua = |run: &ExperimentRun| {
             run.analysis
                 .count(|o| o.active_v6.iter().any(|a| a.is_global_unicast()))

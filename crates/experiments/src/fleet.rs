@@ -4,7 +4,7 @@
 //! experiment harness: a [`CampaignSpec`] describes the population
 //! (home count, seed, worker pool, device-count range, Table 2 config
 //! mix, experiment duration); [`run`] streams lazily-planned homes
-//! through the worker pool, simulates each via [`scenario::run_home`],
+//! through the worker pool, simulates each via [`scenario::run`],
 //! and folds the per-device observations into per-worker
 //! [`PopulationReport`] partials that merge at the end. Each home
 //! analyzes **streaming off the capture tap** — no per-home byte buffer
@@ -22,7 +22,7 @@
 //! (`tests/fleet_determinism.rs` pins this end to end).
 
 use crate::config::NetworkConfig;
-use crate::scenario::{self, ZoneCache};
+use crate::scenario::{self, Home, Link, ZoneCache};
 use std::collections::BTreeMap;
 use std::path::Path;
 use v6brick_core::analysis::PassId;
@@ -114,32 +114,21 @@ fn simulate_home(
     passes: &[PassId],
     mesh_per_mille: u32,
 ) -> HomeResult {
-    if home_is_mesh(home.seed, mesh_per_mille) {
-        let mesh = scenario::run_mesh_home(
-            scratch,
-            home.config,
-            &home.profiles,
-            home.seed,
-            duration,
-            passes,
-        );
-        return HomeResult {
-            config_label: mesh.run.config.mesh_label(),
-            devices: mesh.run.analysis.devices,
-            functional: mesh.run.functional,
-            frames: mesh.run.frames,
-        };
-    }
-    let run = scenario::run_home(
-        scratch,
-        home.config,
-        &home.profiles,
-        home.seed,
+    let (link, config_label) = if home_is_mesh(home.seed, mesh_per_mille) {
+        (Link::Mesh, home.config.mesh_label())
+    } else {
+        (Link::Ethernet, home.config.label())
+    };
+    let spec = Home {
+        seed: home.seed,
         duration,
         passes,
-    );
+        link,
+        ..Home::new(home.config, &home.profiles)
+    };
+    let run = scenario::run(&spec, scratch.zones_for(&home.profiles)).run;
     HomeResult {
-        config_label: run.config.label(),
+        config_label,
         devices: run.analysis.devices,
         functional: run.functional,
         frames: run.frames,

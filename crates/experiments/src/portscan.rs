@@ -7,22 +7,21 @@
 //! probes cover 1–1024. SYN→SYN/ACK is open, SYN→RST closed; a UDP
 //! response is open, ICMPv6 port-unreachable closed.
 
+use crate::scenario::{self, Link};
 use rand::Rng;
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::net::{IpAddr, Ipv4Addr};
 use v6brick_core::ports::ScanResult;
 use v6brick_devices::profile::DeviceProfile;
-use v6brick_devices::stack::IotDevice;
 use v6brick_net::ipv6::mcast;
 use v6brick_net::parse::{ParsedPacket, L4};
 use v6brick_net::udp::PseudoHeader;
 use v6brick_net::{icmpv6, tcp, Mac};
 use v6brick_sim::event::SimTime;
 use v6brick_sim::host::{Effects, Host};
-use v6brick_sim::internet::Internet;
 use v6brick_sim::wire;
-use v6brick_sim::{Router, RouterConfig, SimulationBuilder};
+use v6brick_sim::{Router, RouterConfig};
 
 /// Which ports to probe.
 #[derive(Debug, Clone)]
@@ -305,15 +304,17 @@ impl Host for Scanner {
 ///    leases, followed by the SYN/UDP sweeps.
 pub fn scan(profiles: &[DeviceProfile], plan: &ScanPlan) -> BTreeMap<String, DeviceScan> {
     // Phase 1: boot the devices in a dual-stack network.
-    let zones = crate::scenario::build_zones(profiles);
-    let internet = Internet::new(zones);
-    let router = Router::new(RouterConfig::dual_stack());
-    let mut b = SimulationBuilder::new(router, internet);
-    let mut hosts = Vec::new();
-    for p in profiles {
-        hosts.push(b.add_host(Box::new(IotDevice::new(p.clone()))));
-    }
-    let mut sim = b.capture(false).seed(0x5ca9).build();
+    let testbed = || {
+        let (b, _) = scenario::place(
+            Router::new(RouterConfig::dual_stack()),
+            scenario::build_zones(profiles),
+            Link::Ethernet,
+            0x5ca9,
+            profiles,
+        );
+        b.capture(false)
+    };
+    let mut sim = testbed().build();
     sim.run_until(SimTime::from_secs(60));
 
     // Harvest targets: IPv6 neighbor table + DHCPv4 leases.
@@ -337,16 +338,9 @@ pub fn scan(profiles: &[DeviceProfile], plan: &ScanPlan) -> BTreeMap<String, Dev
     // Phase 2: continue the same simulation with a scanner host... the
     // engine does not support adding hosts mid-run, so we rebuild with
     // the same seed (deterministic => same addresses) and a scanner.
-    let zones = crate::scenario::build_zones(profiles);
-    let internet = Internet::new(zones);
-    let router = Router::new(RouterConfig::dual_stack());
-    let mut b = SimulationBuilder::new(router, internet);
-    for p in profiles {
-        b.add_host(Box::new(IotDevice::new(p.clone())));
-    }
-    let scanner = Scanner::new(plan.clone(), targets);
-    let sid = b.add_host(Box::new(scanner));
-    let mut sim = b.capture(false).seed(0x5ca9).build();
+    let mut b = testbed();
+    let sid = b.add_host(Box::new(Scanner::new(plan.clone(), targets)));
+    let mut sim = b.build();
     // Scan duration scales with the plan size.
     let probes = (plan.tcp.len() + plan.udp.len()) * profiles.len() * 2;
     let secs = 70 + (probes / SCAN_BATCH / 45) as u64 + 5;

@@ -10,16 +10,10 @@
 
 use crate::config::NetworkConfig;
 use crate::render::TextTable;
-use crate::scenario::{self, ExperimentRun};
-use std::collections::BTreeMap;
-use v6brick_core::observe::StreamingAnalyzer;
-use v6brick_devices::phone::Phone;
+use crate::scenario::{self, ExperimentRun, Home};
 use v6brick_devices::profile::DeviceProfile;
 use v6brick_devices::registry;
-use v6brick_devices::stack::IotDevice;
-use v6brick_net::Mac;
-use v6brick_sim::internet::{Internet, ZoneDb};
-use v6brick_sim::{Router, SimulationBuilder};
+use v6brick_sim::internet::ZoneDb;
 
 /// Build zones where every `k`-th AAAA-ready destination is unreachable
 /// over IPv6 (deterministic by name hash).
@@ -49,58 +43,11 @@ pub fn run_with_dead_v6(
     profiles: &[DeviceProfile],
     every_kth: u64,
 ) -> ExperimentRun {
-    let zones = zones_with_dead_v6(profiles, every_kth);
-    let internet = Internet::new(zones);
-    let router = Router::new(config.router_config());
-    let mut b = SimulationBuilder::new(router, internet);
-    let mut device_ids = Vec::new();
-    for p in profiles {
-        let id = b.add_host(Box::new(IotDevice::new(p.clone())));
-        device_ids.push((id, p.id.clone(), p.mac));
-    }
-    let pixel = b.add_host(Box::new(Phone::pixel7()));
-    let iphone = b.add_host(Box::new(Phone::iphone_x()));
-    let macs: Vec<(Mac, String)> = device_ids
-        .iter()
-        .map(|(_, id, mac)| (*mac, id.clone()))
-        .collect();
-    b.add_sink(Box::new(StreamingAnalyzer::new(
-        &macs,
-        scenario::lan_prefix(),
-    )));
-    let mut sim = b.seed(0x7ea1 ^ config as u64).capture(false).build();
-    sim.run_until(scenario::EXPERIMENT_DURATION);
-
-    let mut functional = BTreeMap::new();
-    for (hid, id, _) in &device_ids {
-        let dev = sim.host(*hid).as_any().downcast_ref::<IotDevice>().unwrap();
-        functional.insert(id.clone(), dev.is_functional());
-    }
-    let phones_ok = [pixel, iphone].iter().all(|h| {
-        sim.host(*h)
-            .as_any()
-            .downcast_ref::<Phone>()
-            .map(|p| p.network_ok())
-            .unwrap_or(false)
-    });
-    let neighbors_v6 = sim.router().neighbor_table_v6();
-    let analyzer = sim
-        .take_sinks()
-        .pop()
-        .expect("the streaming analyzer was attached above")
-        .into_any()
-        .downcast::<StreamingAnalyzer>()
-        .expect("the only sink is the streaming analyzer");
-    let frames = analyzer.frames_fed();
-    let analysis = analyzer.finish();
-    ExperimentRun {
-        config,
-        analysis,
-        functional,
-        phones_ok,
-        neighbors_v6,
-        frames,
-    }
+    let home = Home {
+        seed: 0x7ea1,
+        ..Home::new(config, profiles)
+    };
+    scenario::run(&home, zones_with_dead_v6(profiles, every_kth)).run
 }
 
 /// The reachability report: healthy vs degraded v6, in both dual-stack
@@ -118,7 +65,8 @@ pub fn report() -> TextTable {
     ];
     let profiles: Vec<DeviceProfile> = ids.iter().map(|id| registry::by_id(id)).collect();
 
-    let healthy_v6 = scenario::run_with_profiles(NetworkConfig::Ipv6Only, &profiles);
+    let healthy = Home::new(NetworkConfig::Ipv6Only, &profiles);
+    let healthy_v6 = scenario::run(&healthy, scenario::build_zones(&profiles)).run;
     let degraded_v6 = run_with_dead_v6(NetworkConfig::Ipv6Only, &profiles, 2);
     let degraded_dual = run_with_dead_v6(NetworkConfig::DualStack, &profiles, 2);
 

@@ -9,25 +9,26 @@
 //! simulator's capture tap and folds every frame into `O(state)` as it
 //! crosses the LAN, so the experiment never materializes an `O(frames)`
 //! capture buffer and never parses a frame twice. Buffered captures
-//! (pcap export, debugging) remain available via
-//! `SimulationBuilder::capture(true)` on a hand-built simulation.
+//! (pcap export, upload bundles) remain available via
+//! [`Home::keep_capture`].
 
 use crate::config::NetworkConfig;
 use std::borrow::Borrow;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use v6brick_core::analysis::PassId;
 use v6brick_core::observe::{ExperimentAnalysis, StreamingAnalyzer};
 use v6brick_core::outage::SwitchRecord;
 use v6brick_devices::phone::Phone;
 use v6brick_devices::profile::DeviceProfile;
-use v6brick_devices::registry;
 use v6brick_devices::stack::{ntp_anycast, IotDevice};
-use v6brick_net::dns::Name;
 use v6brick_net::ipv6::Cidr;
 use v6brick_net::Mac;
+use v6brick_pcap::Capture;
 use v6brick_sim::event::SimTime;
 use v6brick_sim::internet::{DomainProfile, Internet, ZoneDb};
-use v6brick_sim::{addrs, BorderRouter, FaultPlan, Host, Router, SimulationBuilder};
+use v6brick_sim::{
+    addrs, BorderRouter, FaultPlan, Host, HostId, Router, Simulation, SimulationBuilder,
+};
 
 /// How long each connectivity experiment runs (virtual time). Long enough
 /// for boot, addressing, resolution, rendezvous, and several telemetry
@@ -114,17 +115,6 @@ impl ZoneCache {
     }
 }
 
-/// The AAAA-ready destination set (ground truth for the zone db; the
-/// *measured* equivalent comes from [`crate::active_dns`]).
-pub fn aaaa_ready_domains<P: Borrow<DeviceProfile>>(profiles: &[P]) -> BTreeSet<Name> {
-    profiles
-        .iter()
-        .flat_map(|p| p.borrow().app.destinations.iter())
-        .filter(|d| d.aaaa_ready)
-        .map(|d| d.domain.clone())
-        .collect()
-}
-
 /// The outcome of one connectivity experiment.
 pub struct ExperimentRun {
     /// Config.
@@ -146,151 +136,65 @@ pub fn lan_prefix() -> Cidr {
     Cidr::new(addrs::LAN_PREFIX, 64)
 }
 
-/// Run one experiment over the full registry.
-pub fn run(config: NetworkConfig) -> ExperimentRun {
-    run_with_profiles(config, registry::shared())
+/// Where a home's IoT devices sit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Link {
+    /// Directly on the Ethernet LAN, each device a host of its own.
+    Ethernet,
+    /// Behind one 6LoWPAN border router, each device a mesh leaf.
+    Mesh,
 }
 
-/// Run one experiment over an arbitrary profile subset (tests use this
-/// with a handful of devices).
-pub fn run_with_profiles<P: Borrow<DeviceProfile>>(
-    config: NetworkConfig,
-    profiles: &[P],
-) -> ExperimentRun {
-    run_with_profiles_seeded(config, profiles, 0x6b1c_0000)
-}
-
-/// Like [`run_with_profiles`] but with an explicit base seed — device
-/// *behaviours* must be seed-invariant (only boot jitter and temporary
-/// addresses vary), which `tests/paper_reproduction.rs` checks.
-pub fn run_with_profiles_seeded<P: Borrow<DeviceProfile>>(
-    config: NetworkConfig,
-    profiles: &[P],
-    base_seed: u64,
-) -> ExperimentRun {
-    run_with_profiles_seeded_for(config, profiles, base_seed, EXPERIMENT_DURATION)
-}
-
-/// Like [`run_with_profiles_seeded`] but with an explicit duration —
-/// fleet campaigns and tests trade capture length for wall-clock time.
-pub fn run_with_profiles_seeded_for<P: Borrow<DeviceProfile>>(
-    config: NetworkConfig,
-    profiles: &[P],
-    base_seed: u64,
-    duration: SimTime,
-) -> ExperimentRun {
-    run_scoped(config, profiles, base_seed, duration, &PassId::ALL)
-}
-
-/// Like [`run_with_profiles_seeded_for`] but analyzing with only the
-/// named passes (plus their dependencies). Callers that read a known
-/// subset of [`v6brick_core::observe::DeviceObservation`] — the fleet
-/// population report, a single table generator — skip the work of the
-/// passes whose fields they never look at; the fields a disabled pass
-/// owns stay at their defaults.
-pub fn run_scoped<P: Borrow<DeviceProfile>>(
-    config: NetworkConfig,
-    profiles: &[P],
-    base_seed: u64,
-    duration: SimTime,
-    passes: &[PassId],
-) -> ExperimentRun {
-    run_faulted(
-        config,
-        profiles,
-        base_seed,
-        duration,
-        passes,
-        FaultPlan::new(),
-    )
-    .run
-}
-
-/// [`run_scoped`] with a per-worker [`ZoneCache`]: the fleet pool's
-/// home runner, where one worker simulates thousands of homes and the
-/// zone fragments amortize. Byte-identical output to [`run_scoped`].
-pub fn run_home<P: Borrow<DeviceProfile>>(
-    cache: &mut ZoneCache,
-    config: NetworkConfig,
-    profiles: &[P],
-    base_seed: u64,
-    duration: SimTime,
-    passes: &[PassId],
-) -> ExperimentRun {
-    execute(
-        config,
-        profiles,
-        base_seed,
-        duration,
-        passes,
-        FaultPlan::new(),
-        false,
-        Some(cache),
-    )
-    .0
-    .run
-}
-
-/// The outcome of one fault-injected experiment: the ordinary
-/// [`ExperimentRun`] plus the fault-specific observations the healthy
-/// path never produces.
-pub struct FaultedRun {
-    /// The ordinary experiment outcome.
-    pub run: ExperimentRun,
-    /// Every device's v6↔v4 switch log, keyed by device id.
-    pub switches: BTreeMap<String, Vec<SwitchRecord>>,
-    /// 6in4 tunnel packets the injected outage swallowed.
-    pub tunnel_drops: u64,
-}
-
-/// One home's experiment with the raw capture retained: the input the
-/// ingestion path replays at a `v6brickd` server. The simulation is
-/// bit-identical to [`run_scoped`]'s (same seed, same build order —
-/// enabling the buffered capture consumes no randomness), so the
-/// capture holds exactly the frames the streaming analyzer would see.
-pub struct CapturedRun {
-    /// Config the home ran under.
+/// One simulated home: the Table 2 router, the devices, the two
+/// verification phones and the §4.1 functionality check. Every field
+/// feeds the output bytes; [`Home::new`] supplies the paper's defaults
+/// and struct-update syntax overrides the rest.
+pub struct Home<'a, P> {
+    /// Network configuration the router runs.
     pub config: NetworkConfig,
-    /// Every LAN frame, in tap order.
-    pub capture: v6brick_pcap::Capture,
-    /// Functionality-test outcome per device id (§4.1) — the
-    /// out-of-band result an upload header carries alongside the pcap.
-    pub functional: BTreeMap<String, bool>,
+    /// The device models in the home.
+    pub profiles: &'a [P],
+    /// Base seed; the simulation runs on `seed ^ config`. Device
+    /// *behaviours* are seed-invariant (only boot jitter and temporary
+    /// addresses vary), which `tests/paper_reproduction.rs` checks.
+    pub seed: u64,
+    /// Virtual time the experiment window lasts.
+    pub duration: SimTime,
+    /// Analyzer passes to run (plus their dependencies). Callers that
+    /// read a known subset of [`v6brick_core::observe::DeviceObservation`]
+    /// skip the passes whose fields they never look at; the fields a
+    /// disabled pass owns stay at their defaults.
+    pub passes: &'a [PassId],
+    /// Faults injected into the router, the Internet model and the LAN.
+    pub faults: FaultPlan,
+    /// Where the IoT devices sit.
+    pub link: Link,
+    /// Retain the LAN capture (and, on the mesh link, the mesh capture).
+    /// Enabling the buffered capture consumes no randomness, so the
+    /// home simulates bit-identically either way.
+    pub keep_capture: bool,
 }
 
-/// Run one home and keep its capture instead of (not in addition to)
-/// an analysis: the bundle-generation path for `repro upload`, the
-/// load generator, and the server equivalence tests. No analyzer pass
-/// runs — the server is the one doing the analysis.
-pub fn run_captured<P: Borrow<DeviceProfile>>(
-    config: NetworkConfig,
-    profiles: &[P],
-    base_seed: u64,
-    duration: SimTime,
-) -> CapturedRun {
-    let (faulted, capture) = execute(
-        config,
-        profiles,
-        base_seed,
-        duration,
-        &[],
-        FaultPlan::new(),
-        true,
-        None,
-    );
-    CapturedRun {
-        config,
-        capture: capture.expect("capture was enabled"),
-        functional: faulted.run.functional,
+impl<'a, P: Borrow<DeviceProfile>> Home<'a, P> {
+    /// The paper's experiment over `profiles`: base seed `0x6b1c_0000`,
+    /// [`EXPERIMENT_DURATION`], every analyzer pass, no faults, Ethernet,
+    /// no retained capture.
+    pub fn new(config: NetworkConfig, profiles: &'a [P]) -> Home<'a, P> {
+        Home {
+            config,
+            profiles,
+            seed: 0x6b1c_0000,
+            duration: EXPERIMENT_DURATION,
+            passes: &PassId::ALL,
+            faults: FaultPlan::new(),
+            link: Link::Ethernet,
+            keep_capture: false,
+        }
     }
 }
 
-/// The outcome of one mesh-home experiment: the ordinary run (attributed
-/// to leaf devices via the mesh capture) plus the border-router
-/// accounting the Ethernet topology never produces.
-pub struct MeshRun {
-    /// The ordinary experiment outcome.
-    pub run: ExperimentRun,
+/// Border-router accounting from a mesh home.
+pub struct MeshStats {
     /// 802.15.4 frames the border router put on the air.
     pub mesh_frames: u64,
     /// Leaf IPv4/ARP frames refused transit by the v6-only mesh.
@@ -305,307 +209,221 @@ pub struct MeshRun {
     pub mesh_bindings: u64,
     /// Mesh frames/datagrams any decode stage dropped.
     pub mesh_decode_errors: u64,
-    /// The mesh-side 802.15.4 capture, when the caller kept it.
-    pub mesh_capture: Option<v6brick_pcap::Capture>,
+    /// The mesh-side 802.15.4 capture, when the home kept its captures.
+    pub mesh_capture: Option<Capture>,
 }
 
-/// Run one experiment with every IoT device behind a 6LoWPAN border
-/// router instead of directly on the Ethernet LAN — the second
-/// link-layer scenario family. Full duration, all passes, mesh capture
-/// retained (for pcap export and interop tests).
-pub fn run_mesh<P: Borrow<DeviceProfile>>(
-    config: NetworkConfig,
+/// Everything one [`Home`] produces.
+pub struct HomeRun {
+    /// The ordinary experiment outcome.
+    pub run: ExperimentRun,
+    /// Every device's v6↔v4 switch log, keyed by device id.
+    pub switches: BTreeMap<String, Vec<SwitchRecord>>,
+    /// 6in4 tunnel packets an injected outage swallowed.
+    pub tunnel_drops: u64,
+    /// Every LAN frame in tap order, when the home kept its captures.
+    pub capture: Option<Capture>,
+    /// Border-router accounting, on the mesh link only.
+    pub mesh: Option<MeshStats>,
+}
+
+/// The devices a [`place`]d simulation holds, on either link.
+pub(crate) enum Placement {
+    /// One LAN host per device, in profile order.
+    Lan(Vec<HostId>),
+    /// One border router whose leaves are the devices, in profile order.
+    Mesh(HostId),
+}
+
+/// Start a simulation over `router` and `zones` with one device per
+/// profile placed on `link`. `seed` seeds the simulation and, on the
+/// mesh link, the border router. Every testbed with IoT devices is
+/// assembled here, so all of them place devices the same way.
+pub(crate) fn place<P: Borrow<DeviceProfile>>(
+    router: Router,
+    zones: ZoneDb,
+    link: Link,
+    seed: u64,
     profiles: &[P],
-    base_seed: u64,
-) -> MeshRun {
-    execute_mesh(
-        config,
-        profiles,
-        base_seed,
-        EXPERIMENT_DURATION,
-        &PassId::ALL,
-        true,
-        None,
-    )
+) -> (SimulationBuilder, Placement) {
+    let mut b = SimulationBuilder::new(router, Internet::new(zones));
+    let devices = profiles
+        .iter()
+        .map(|p| Box::new(IotDevice::new(p.borrow().clone())) as Box<dyn Host>);
+    let placement = match link {
+        Link::Ethernet => Placement::Lan(devices.map(|d| b.add_host(d)).collect()),
+        Link::Mesh => {
+            let leaves = devices.collect();
+            Placement::Mesh(b.add_host(Box::new(BorderRouter::new(seed, leaves))))
+        }
+    };
+    (b.seed(seed), placement)
 }
 
-/// The fleet pool's mesh-home runner: like [`run_home`] but with the
-/// devices behind a border router. The mesh capture is walked for
-/// attribution bindings and then dropped — nothing `O(frames)` outlives
-/// the home.
-pub fn run_mesh_home<P: Borrow<DeviceProfile>>(
-    cache: &mut ZoneCache,
-    config: NetworkConfig,
-    profiles: &[P],
-    base_seed: u64,
-    duration: SimTime,
-    passes: &[PassId],
-) -> MeshRun {
-    execute_mesh(
-        config,
-        profiles,
-        base_seed,
-        duration,
-        passes,
-        false,
-        Some(cache),
-    )
+impl Placement {
+    /// The placed devices, in profile order.
+    pub(crate) fn devices<'s>(&self, sim: &'s Simulation) -> Vec<&'s IotDevice> {
+        let device = |h: &'s dyn Host| {
+            h.as_any()
+                .downcast_ref::<IotDevice>()
+                .expect("host is a device")
+        };
+        match self {
+            Placement::Lan(ids) => ids.iter().map(|&id| device(sim.host(id))).collect(),
+            Placement::Mesh(id) => {
+                let br = sim
+                    .host(*id)
+                    .as_any()
+                    .downcast_ref::<BorderRouter>()
+                    .expect("host is the border router");
+                (0..br.leaf_count()).map(|i| device(br.leaf(i))).collect()
+            }
+        }
+    }
 }
 
-/// The mesh twin of [`execute`]. Unlike the Ethernet path this one runs
-/// in two phases — simulate with a buffered LAN capture, then analyze —
-/// because the attribution bindings come from *decoding the mesh
+/// Run one home on `zones`, the Internet's authoritative zone database
+/// ([`build_zones`], a [`ZoneCache`], or a deliberately degraded one).
+///
+/// On Ethernet the analyzer streams off the capture tap, so the home
+/// never buffers an `O(frames)` capture unless asked to. The mesh link
+/// runs in two phases — simulate with a buffered LAN capture, then
+/// analyze — because leaf attribution comes from *decoding the mesh
 /// capture* (802.15.4 framing → RFC 4944 reassembly → IPHC), and the
-/// analyzer needs them installed before it sees the first frame. The
-/// Ethernet path keeps its streaming analyzer and is byte-identical to
-/// before the mesh family existed.
-fn execute_mesh<P: Borrow<DeviceProfile>>(
-    config: NetworkConfig,
-    profiles: &[P],
-    base_seed: u64,
-    duration: SimTime,
-    passes: &[PassId],
-    keep_mesh_capture: bool,
-    zone_cache: Option<&mut ZoneCache>,
-) -> MeshRun {
-    let zones = match zone_cache {
-        Some(cache) => cache.zones_for(profiles),
-        None => build_zones(profiles),
-    };
-    let internet = Internet::new(zones);
-    let router = Router::new(config.router_config());
-    let mut b = SimulationBuilder::new(router, internet);
-
-    let sim_seed = base_seed ^ config as u64;
-    let mut leaves: Vec<Box<dyn Host>> = Vec::with_capacity(profiles.len());
-    let mut device_ids = Vec::with_capacity(profiles.len());
-    for p in profiles {
-        let p = p.borrow();
-        leaves.push(Box::new(IotDevice::new(p.clone())));
-        device_ids.push((p.id.clone(), p.mac));
-    }
-    let br_id = b.add_host(Box::new(BorderRouter::new(sim_seed, leaves)));
-    let pixel = b.add_host(Box::new(Phone::pixel7()));
-    let iphone = b.add_host(Box::new(Phone::iphone_x()));
-
-    let mut sim = b.seed(sim_seed).capture(true).build();
-    sim.run_until(duration);
-    let lan_capture = sim.take_capture();
-
-    // Phase 2: recover leaf identity from the mesh air, then walk the
-    // LAN capture with the bindings installed.
-    let br = sim
-        .host_mut(br_id)
-        .as_any_mut()
-        .downcast_mut::<BorderRouter>()
-        .expect("host is the border router");
-    let mesh_capture = br.take_mesh_capture();
-    let (mesh_frames, dropped_v4, fwd_up, fwd_down, no_route) = (
-        br.mesh_frames,
-        br.dropped_v4_frames,
-        br.forwarded_up,
-        br.forwarded_down,
-        br.no_route_drops,
+/// analyzer needs those bindings installed before its first frame.
+pub fn run<P: Borrow<DeviceProfile>>(home: &Home<'_, P>, zones: ZoneDb) -> HomeRun {
+    let config = home.config;
+    let buffered = home.keep_capture || home.link == Link::Mesh;
+    let (mut b, placement) = place(
+        Router::new(config.router_config()),
+        zones,
+        home.link,
+        home.seed ^ config as u64,
+        home.profiles,
     );
-    let mut functional = BTreeMap::new();
-    for (idx, (id, _)) in device_ids.iter().enumerate() {
-        let dev = br
-            .leaf(idx)
-            .as_any()
-            .downcast_ref::<IotDevice>()
-            .expect("leaf is a device");
-        functional.insert(id.clone(), dev.is_functional());
-    }
-
-    let bindings = v6brick_core::bindings_from_mesh_capture(&mesh_capture, &lan_prefix());
-    let macs: Vec<(Mac, String)> = device_ids
-        .iter()
-        .map(|(id, mac)| (*mac, id.clone()))
-        .collect();
-    let mut analyzer = StreamingAnalyzer::with_passes(&macs, lan_prefix(), passes);
-    for (addr, mac) in &bindings.by_addr {
-        // The border router's own mesh-local address resolves to no
-        // device and binds nothing — exactly what we want.
-        analyzer.add_mesh_binding(*addr, *mac);
-    }
-    for pkt in lan_capture.iter() {
-        analyzer.feed(pkt.timestamp_us, &pkt.data);
-    }
-    let frames = analyzer.frames_fed();
-    let analysis = analyzer.finish();
-
-    let phones_ok = [pixel, iphone].iter().all(|h| {
-        sim.host(*h)
-            .as_any()
-            .downcast_ref::<Phone>()
-            .map(|p| p.network_ok())
-            .unwrap_or(false)
-    });
-    let neighbors_v6 = sim.router().neighbor_table_v6();
-
-    MeshRun {
-        run: ExperimentRun {
-            config,
-            analysis,
-            functional,
-            phones_ok,
-            neighbors_v6,
-            frames,
-        },
-        mesh_frames,
-        dropped_v4_frames: dropped_v4,
-        forwarded_up: fwd_up,
-        forwarded_down: fwd_down,
-        no_route_drops: no_route,
-        mesh_bindings: analyzer_bindings(&bindings),
-        mesh_decode_errors: bindings.decode_errors,
-        mesh_capture: keep_mesh_capture.then_some(mesh_capture),
-    }
-}
-
-/// How many of the recovered bindings name an actual leaf (the border
-/// router's own addresses are excluded by the analyzer, so count them
-/// the same way here).
-fn analyzer_bindings(b: &v6brick_core::MeshBindings) -> u64 {
-    b.by_addr
-        .values()
-        .filter(|m| **m != addrs::BORDER_ROUTER_MAC)
-        .count() as u64
-}
-
-/// [`run_scoped`] under an injected [`FaultPlan`]: the same build and
-/// measurement path, plus the devices' family-switch logs and the
-/// engine's fault counters for Table 9-style outage reporting.
-pub fn run_faulted<P: Borrow<DeviceProfile>>(
-    config: NetworkConfig,
-    profiles: &[P],
-    base_seed: u64,
-    duration: SimTime,
-    passes: &[PassId],
-    faults: FaultPlan,
-) -> FaultedRun {
-    execute(
-        config, profiles, base_seed, duration, passes, faults, false, None,
-    )
-    .0
-}
-
-#[allow(clippy::too_many_arguments)]
-fn execute<P: Borrow<DeviceProfile>>(
-    config: NetworkConfig,
-    profiles: &[P],
-    base_seed: u64,
-    duration: SimTime,
-    passes: &[PassId],
-    faults: FaultPlan,
-    keep_capture: bool,
-    zone_cache: Option<&mut ZoneCache>,
-) -> (FaultedRun, Option<v6brick_pcap::Capture>) {
-    let zones = match zone_cache {
-        Some(cache) => cache.zones_for(profiles),
-        None => build_zones(profiles),
-    };
-    let internet = Internet::new(zones);
-    let router = Router::new(config.router_config());
-    let mut b = SimulationBuilder::new(router, internet);
-
-    let mut device_ids = Vec::with_capacity(profiles.len());
-    for p in profiles {
-        let p = p.borrow();
-        let id = b.add_host(Box::new(IotDevice::new(p.clone())));
-        device_ids.push((id, p.id.clone(), p.mac));
-    }
     let pixel = b.add_host(Box::new(Phone::pixel7()));
     let iphone = b.add_host(Box::new(Phone::iphone_x()));
-
-    // Stream the analysis off the capture tap instead of buffering the
-    // whole capture: peak memory is the analyzer state, not the frames.
-    let macs: Vec<(Mac, String)> = device_ids
+    let macs: Vec<(Mac, String)> = home
+        .profiles
         .iter()
-        .map(|(_, id, mac)| (*mac, id.clone()))
+        .map(|p| (p.borrow().mac, p.borrow().id.clone()))
         .collect();
-    b.add_sink(Box::new(StreamingAnalyzer::with_passes(
-        &macs,
-        lan_prefix(),
-        passes,
-    )));
+    let new_analyzer = || StreamingAnalyzer::with_passes(&macs, lan_prefix(), home.passes);
+    if home.link == Link::Ethernet {
+        b.add_sink(Box::new(new_analyzer()));
+    }
+    let mut sim = b.capture(buffered).faults(home.faults.clone()).build();
+    sim.run_until(home.duration);
+    let capture = buffered.then(|| sim.take_capture());
 
-    let mut sim = b
-        .seed(base_seed ^ config as u64)
-        .capture(keep_capture)
-        .faults(faults)
-        .build();
-    sim.run_until(duration);
-    let capture = keep_capture.then(|| sim.take_capture());
+    let (analyzer, mesh) = match placement {
+        Placement::Lan(_) => {
+            let analyzer = sim
+                .take_sinks()
+                .pop()
+                .expect("the streaming analyzer was attached above")
+                .into_any()
+                .downcast::<StreamingAnalyzer>()
+                .expect("the only sink is the streaming analyzer");
+            (*analyzer, None)
+        }
+        Placement::Mesh(id) => {
+            // Phase 2: recover leaf identity from the mesh air, then walk
+            // the LAN capture with the bindings installed. The border
+            // router's own mesh-local address binds nothing.
+            let br = sim
+                .host_mut(id)
+                .as_any_mut()
+                .downcast_mut::<BorderRouter>()
+                .expect("host is the border router");
+            let mesh_capture = br.take_mesh_capture();
+            let bindings = v6brick_core::bindings_from_mesh_capture(&mesh_capture, &lan_prefix());
+            let mut analyzer = new_analyzer();
+            for (addr, mac) in &bindings.by_addr {
+                analyzer.add_mesh_binding(*addr, *mac);
+            }
+            for pkt in capture.as_ref().expect("the mesh link buffers").iter() {
+                analyzer.feed(pkt.timestamp_us, &pkt.data);
+            }
+            let stats = MeshStats {
+                mesh_frames: br.mesh_frames,
+                dropped_v4_frames: br.dropped_v4_frames,
+                forwarded_up: br.forwarded_up,
+                forwarded_down: br.forwarded_down,
+                no_route_drops: br.no_route_drops,
+                mesh_bindings: bindings
+                    .by_addr
+                    .values()
+                    .filter(|m| **m != addrs::BORDER_ROUTER_MAC)
+                    .count() as u64,
+                mesh_decode_errors: bindings.decode_errors,
+                mesh_capture: home.keep_capture.then_some(mesh_capture),
+            };
+            (analyzer, Some(stats))
+        }
+    };
 
     // Functionality test: ask each device model whether its primary
     // function (cloud rendezvous with every required destination)
-    // completed — the §4.1 companion-app check. The switch log comes off
-    // the same downcast.
+    // completed — the §4.1 companion-app check.
     let mut functional = BTreeMap::new();
     let mut switches = BTreeMap::new();
-    for (hid, id, _) in &device_ids {
-        let dev = sim
-            .host(*hid)
-            .as_any()
-            .downcast_ref::<IotDevice>()
-            .expect("host is a device");
+    for (p, dev) in home.profiles.iter().zip(placement.devices(&sim)) {
+        let id = &p.borrow().id;
         functional.insert(id.clone(), dev.is_functional());
-        switches.insert(
-            id.clone(),
-            dev.switch_events()
-                .iter()
-                .map(|e| SwitchRecord {
-                    at_us: e.at_us,
-                    domain: e.domain.as_str().to_string(),
-                    to_v6: e.to_v6,
-                })
-                .collect::<Vec<_>>(),
-        );
+        let log = dev.switch_events().iter().map(|e| SwitchRecord {
+            at_us: e.at_us,
+            domain: e.domain.as_str().to_string(),
+            to_v6: e.to_v6,
+        });
+        switches.insert(id.clone(), log.collect());
     }
     let phones_ok = [pixel, iphone].iter().all(|h| {
         sim.host(*h)
             .as_any()
             .downcast_ref::<Phone>()
-            .map(|p| p.network_ok())
-            .unwrap_or(false)
+            .is_some_and(|p| p.network_ok())
     });
-
-    let neighbors_v6 = sim.router().neighbor_table_v6();
-    let tunnel_drops = sim.tunnel_drops;
-    let analyzer = sim
-        .take_sinks()
-        .pop()
-        .expect("the streaming analyzer was attached above")
-        .into_any()
-        .downcast::<StreamingAnalyzer>()
-        .expect("the only sink is the streaming analyzer");
     let frames = analyzer.frames_fed();
-    let analysis = analyzer.finish();
-
-    (
-        FaultedRun {
-            run: ExperimentRun {
-                config,
-                analysis,
-                functional,
-                phones_ok,
-                neighbors_v6,
-                frames,
-            },
-            switches,
-            tunnel_drops,
+    HomeRun {
+        run: ExperimentRun {
+            config,
+            analysis: analyzer.finish(),
+            functional,
+            phones_ok,
+            neighbors_v6: sim.router().neighbor_table_v6(),
+            frames,
         },
-        capture,
-    )
+        switches,
+        tunnel_drops: sim.tunnel_drops,
+        capture: capture.filter(|_| home.keep_capture),
+        mesh,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use v6brick_devices::registry;
+    use v6brick_net::dns::Name;
 
     fn profiles(ids: &[&str]) -> Vec<DeviceProfile> {
         ids.iter().map(|id| registry::by_id(id)).collect()
+    }
+
+    /// The paper's home over the named devices, on `link`.
+    fn home(config: NetworkConfig, ids: &[&str], link: Link) -> HomeRun {
+        let profiles = profiles(ids);
+        let home = Home {
+            link,
+            keep_capture: true,
+            ..Home::new(config, &profiles)
+        };
+        run(&home, build_zones(&profiles))
+    }
+
+    fn run_with_profiles(config: NetworkConfig, profiles: &[DeviceProfile]) -> ExperimentRun {
+        run(&Home::new(config, profiles), build_zones(profiles)).run
     }
 
     #[test]
@@ -671,21 +489,20 @@ mod tests {
 
     #[test]
     fn mesh_home_attributes_leaves_and_v6_device_works() {
-        let mesh = run_mesh(
-            NetworkConfig::Ipv6Only,
-            &profiles(&["google_home_mini"]),
-            0x6b1c_0000,
-        );
-        assert!(mesh.run.phones_ok, "phones live on Ethernet, unaffected");
-        assert_eq!(mesh.run.functional.get("google_home_mini"), Some(&true));
+        let home = home(NetworkConfig::Ipv6Only, &["google_home_mini"], Link::Mesh);
+        let mesh = home.mesh.expect("a mesh home reports its border router");
+        assert!(home.run.phones_ok, "phones live on Ethernet, unaffected");
+        assert_eq!(home.run.functional.get("google_home_mini"), Some(&true));
         assert!(mesh.mesh_frames > 0, "traffic crossed the mesh air");
         assert!(mesh.mesh_bindings >= 1, "leaf addresses recovered");
         assert_eq!(mesh.mesh_decode_errors, 0);
         assert!(mesh.forwarded_up > 0 && mesh.forwarded_down > 0);
-        let o = mesh.run.analysis.device("google_home_mini").unwrap();
+        let o = home.run.analysis.device("google_home_mini").unwrap();
         assert!(o.dns_over_v6(), "DNS attributed to the leaf, not the BR");
         assert!(o.v6_internet_data(), "data attributed to the leaf");
-        let cap = mesh.mesh_capture.expect("run_mesh keeps the mesh capture");
+        let cap = mesh
+            .mesh_capture
+            .expect("keep_capture keeps the mesh capture");
         assert!(!cap.is_empty());
     }
 
@@ -695,13 +512,9 @@ mod tests {
         // refuses its DHCPv4/ARP frames at the border, so it bricks even
         // with IPv4 service on the router — the readiness delta the mesh
         // family measures.
-        let mesh = run_mesh(
-            NetworkConfig::Ipv4Only,
-            &profiles(&["wyze_cam"]),
-            0x6b1c_0000,
-        );
-        assert_eq!(mesh.run.functional.get("wyze_cam"), Some(&false));
-        assert!(mesh.dropped_v4_frames > 0);
+        let home = home(NetworkConfig::Ipv4Only, &["wyze_cam"], Link::Mesh);
+        assert_eq!(home.run.functional.get("wyze_cam"), Some(&false));
+        assert!(home.mesh.unwrap().dropped_v4_frames > 0);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! checks it from the CLI).
 
 use crate::fleet::CampaignSpec;
-use crate::scenario;
+use crate::scenario::{self, Home};
 use v6brick_fleet::{plan_homes, run_indexed};
 use v6brick_ingest::{DeviceEntry, UploadBundle, UploadHeader};
 use v6brick_pcap::{format, pcapng};
@@ -37,26 +37,35 @@ pub fn campaign_bundles(spec: &CampaignSpec) -> Vec<UploadBundle> {
         plans,
         spec.workers,
         move |home| {
-            let run = scenario::run_captured(home.config, &home.profiles, home.seed, duration);
+            // No analyzer pass runs: the server does the analysis.
+            let spec = Home {
+                seed: home.seed,
+                duration,
+                passes: &[],
+                keep_capture: true,
+                ..Home::new(home.config, &home.profiles)
+            };
+            let run = scenario::run(&spec, scenario::build_zones(&home.profiles));
+            let capture = run.capture.expect("the home kept its capture");
             let devices = home
                 .profiles
                 .iter()
                 .map(|p| DeviceEntry {
                     id: p.id.clone(),
                     mac: p.mac,
-                    functional: run.functional.get(&p.id).copied().unwrap_or(false),
+                    functional: run.run.functional.get(&p.id).copied().unwrap_or(false),
                 })
                 .collect();
             let pcap = if home.index % 2 == 0 {
-                format::to_bytes(&run.capture)
+                format::to_bytes(&capture)
             } else {
-                pcapng::to_bytes(&run.capture)
+                pcapng::to_bytes(&capture)
             };
             UploadBundle {
                 header: UploadHeader {
                     campaign_seed,
                     home_index: home.index,
-                    config_label: run.config.label().to_string(),
+                    config_label: home.config.label().to_string(),
                     lan_prefix: v6brick_sim::addrs::LAN_PREFIX,
                     lan_prefix_len: 64,
                     devices,

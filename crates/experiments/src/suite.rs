@@ -8,7 +8,7 @@
 //! population scale.
 
 use crate::config::NetworkConfig;
-use crate::scenario::{self, ExperimentRun, EXPERIMENT_DURATION};
+use crate::scenario::{self, ExperimentRun, Home};
 use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap};
 use v6brick_core::analysis::PassId;
@@ -88,7 +88,13 @@ impl ExperimentSuite {
         let runs = run_indexed(
             configs.to_vec(),
             workers.min(configs.len()),
-            |c| scenario::run_scoped(c, &profiles, 0x6b1c_0000, EXPERIMENT_DURATION, &passes),
+            |c| {
+                let home = Home {
+                    passes: &passes,
+                    ..Home::new(c, &profiles)
+                };
+                scenario::run(&home, scenario::build_zones(&profiles)).run
+            },
             Vec::with_capacity(configs.len()),
             |acc, _index, run| acc.push(run),
         );
@@ -98,7 +104,8 @@ impl ExperimentSuite {
     /// Run a single configuration (examples use this).
     pub fn run_config(config: NetworkConfig) -> ExperimentSuite {
         let profiles = registry::build();
-        let runs = vec![scenario::run_with_profiles(config, &profiles)];
+        let home = Home::new(config, &profiles);
+        let runs = vec![scenario::run(&home, scenario::build_zones(&profiles)).run];
         Self::from_runs(profiles, runs)
     }
 

@@ -31,19 +31,15 @@
 
 use crate::config::NetworkConfig;
 use crate::portscan::ScanPlan;
-use crate::scenario;
+use crate::scenario::{self, Link};
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv6Addr;
 use v6brick_core::exposure::{self, ExposureReport, HitlistStats, HomeScanOutcome, TargetOutcome};
-use v6brick_devices::stack::IotDevice;
 use v6brick_fleet::{plan_homes, run_indexed_outcomes, HomeSpec};
 use v6brick_net::ipv4::{self, Protocol};
 use v6brick_net::udp::PseudoHeader;
 use v6brick_net::{icmpv6, ipv6, tcp, udp};
-use v6brick_sim::{
-    addrs, BorderRouter, FirewallPolicy, Host, Internet, Router, SimTime, Simulation,
-    SimulationBuilder,
-};
+use v6brick_sim::{addrs, FirewallPolicy, Router, SimTime, Simulation};
 
 /// The scanner's source address: a documentation-range GUA well outside
 /// both the LAN /64 and the pseudo-Internet's derived service addresses.
@@ -261,25 +257,15 @@ fn scan_policy(
     mesh: bool,
     out: &mut HomeScanOutcome,
 ) {
-    let router = Router::new(home.config.router_config_with(policy));
-    let internet = Internet::new(scenario::build_zones(&home.profiles));
-    let mut b = SimulationBuilder::new(router, internet);
-    let sim_seed = home.seed ^ home.config as u64;
-    let mut hosts = Vec::with_capacity(home.profiles.len());
-    let mut br_host = None;
-    if mesh {
-        let leaves: Vec<Box<dyn Host>> = home
-            .profiles
-            .iter()
-            .map(|p| Box::new(IotDevice::new((*p).clone())) as Box<dyn Host>)
-            .collect();
-        br_host = Some(b.add_host(Box::new(BorderRouter::new(sim_seed, leaves))));
-    } else {
-        for p in &home.profiles {
-            hosts.push(b.add_host(Box::new(IotDevice::new((*p).clone()))));
-        }
-    }
-    let mut sim = b.seed(sim_seed).build();
+    let (b, devices) = scenario::place(
+        Router::new(home.config.router_config_with(policy)),
+        scenario::build_zones(&home.profiles),
+        if mesh { Link::Mesh } else { Link::Ethernet },
+        home.seed ^ home.config as u64,
+        &home.profiles,
+    );
+    // The scan reads the Internet side only; no LAN capture is kept.
+    let mut sim = b.capture(false).build();
     sim.internet_mut().attach_scanner(scanner_addr());
 
     // Phase 1: the home lives its normal life while the internet side
@@ -289,34 +275,10 @@ fn scan_policy(
     // Ground truth (never shown to the scanner): every global address a
     // device holds, with its category and addressing mode.
     let mut truth: BTreeMap<Ipv6Addr, (String, String)> = BTreeMap::new();
-    let absorb_truth = |dev: &IotDevice, truth: &mut BTreeMap<Ipv6Addr, (String, String)>| {
+    for dev in devices.devices(&sim) {
         let category = dev.profile().category.label();
         for (addr, mode) in dev.gua_inventory() {
             truth.insert(addr, (category.to_string(), mode.to_string()));
-        }
-    };
-    if let Some(br_id) = br_host {
-        let br = sim
-            .host(br_id)
-            .as_any()
-            .downcast_ref::<BorderRouter>()
-            .expect("host is the border router");
-        for idx in 0..br.leaf_count() {
-            let dev = br
-                .leaf(idx)
-                .as_any()
-                .downcast_ref::<IotDevice>()
-                .expect("leaf is a device");
-            absorb_truth(dev, &mut truth);
-        }
-    } else {
-        for &h in &hosts {
-            let dev = sim
-                .host(h)
-                .as_any()
-                .downcast_ref::<IotDevice>()
-                .expect("host is a device");
-            absorb_truth(dev, &mut truth);
         }
     }
 

@@ -4,7 +4,8 @@
 use v6brick_core::observe::DeviceObservation;
 use v6brick_devices::profile::DeviceProfile;
 use v6brick_devices::registry;
-use v6brick_experiments::{scenario, NetworkConfig};
+use v6brick_experiments::scenario::{self, Home};
+use v6brick_experiments::NetworkConfig;
 use v6brick_net::dns::Name;
 use v6brick_net::ipv6::Ipv6AddrExt;
 
@@ -13,7 +14,8 @@ fn profiles(ids: &[&str]) -> Vec<DeviceProfile> {
 }
 
 fn observe(config: NetworkConfig, id: &str) -> DeviceObservation {
-    let run = scenario::run_with_profiles(config, &profiles(&[id]));
+    let p = profiles(&[id]);
+    let run = scenario::run(&Home::new(config, &p), scenario::build_zones(&p)).run;
     run.analysis.device(id).cloned().expect("device analyzed")
 }
 
@@ -112,10 +114,9 @@ fn echo_spot_resolves_but_never_connects_v6() {
 fn samsung_fridge_sources_traffic_from_stateful_address() {
     // §5.2.1: the Fridge is one of four devices actually using its
     // stateful DHCPv6 address.
-    let run = scenario::run_with_profiles(
-        NetworkConfig::Ipv6OnlyStateful,
-        &profiles(&["samsung_fridge"]),
-    );
+    let p = profiles(&["samsung_fridge"]);
+    let home = Home::new(NetworkConfig::Ipv6OnlyStateful, &p);
+    let run = scenario::run(&home, scenario::build_zones(&p)).run;
     let o = run.analysis.device("samsung_fridge").unwrap();
     assert!(o.dhcpv6_stateful, "solicited an IA_NA");
     let stateful: Vec<_> = o.dhcpv6_addrs.iter().collect();

@@ -71,12 +71,13 @@ fn merged_shards_equal_one_campaign() {
             homes,
             2,
             |home: v6brick_fleet::HomeSpec<_>| {
-                let run = v6brick_experiments::scenario::run_with_profiles_seeded_for(
-                    home.config,
-                    &home.profiles,
-                    home.seed,
+                use v6brick_experiments::scenario::{self, Home};
+                let spec = Home {
+                    seed: home.seed,
                     duration,
-                );
+                    ..Home::new(home.config, &home.profiles)
+                };
+                let run = scenario::run(&spec, scenario::build_zones(&home.profiles)).run;
                 (
                     run.config.label().to_string(),
                     run.analysis.devices,

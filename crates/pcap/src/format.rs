@@ -5,13 +5,12 @@
 //! can open. Reading accepts both endiannesses and the nanosecond-magic
 //! variant `0xa1b23c4d`.
 
-use crate::{Capture, CapturedPacket};
-use bytes::Bytes;
+use crate::Capture;
 use std::io::{self, Read, Write};
 
-const MAGIC_USEC: u32 = 0xa1b2_c3d4;
-const MAGIC_NSEC: u32 = 0xa1b2_3c4d;
-const LINKTYPE_ETHERNET: u32 = 1;
+pub(crate) const MAGIC_USEC: u32 = 0xa1b2_c3d4;
+pub(crate) const MAGIC_NSEC: u32 = 0xa1b2_3c4d;
+pub(crate) const LINKTYPE_ETHERNET: u32 = 1;
 /// tcpdump's default snap length.
 const SNAPLEN: u32 = 262_144;
 /// Upper bound on a single record's captured length accepted on read —
@@ -111,79 +110,17 @@ pub fn read_pcap<R: Read>(mut r: R) -> Result<Capture, PcapError> {
     from_bytes(&buf)
 }
 
-/// Deserialize from an in-memory byte slice.
+/// Deserialize from an in-memory byte slice: the
+/// [`StreamDecoder`](crate::stream::StreamDecoder) over the whole
+/// buffer, frames stable-sorted by timestamp. A pcapng stream is refused
+/// with [`PcapError::BadMagic`]; read it with [`crate::pcapng::from_bytes`].
 pub fn from_bytes(buf: &[u8]) -> Result<Capture, PcapError> {
-    if buf.len() < 24 {
-        return Err(PcapError::TruncatedRecord);
-    }
-    let magic_le = u32::from_le_bytes(buf[0..4].try_into().unwrap());
-    let magic_be = u32::from_be_bytes(buf[0..4].try_into().unwrap());
-    let (big_endian, nsec) = match (magic_le, magic_be) {
-        (MAGIC_USEC, _) => (false, false),
-        (MAGIC_NSEC, _) => (false, true),
-        (_, MAGIC_USEC) => (true, false),
-        (_, MAGIC_NSEC) => (true, true),
-        _ => return Err(PcapError::BadMagic(magic_le)),
-    };
-    let u32_at = |off: usize| -> u32 {
-        let b: [u8; 4] = buf[off..off + 4].try_into().unwrap();
-        if big_endian {
-            u32::from_be_bytes(b)
-        } else {
-            u32::from_le_bytes(b)
+    if let Some(magic) = crate::stream::leading_magic(buf) {
+        if magic == crate::pcapng::BLOCK_SHB {
+            return Err(PcapError::BadMagic(magic));
         }
-    };
-    let linktype = u32_at(20);
-    if linktype != LINKTYPE_ETHERNET {
-        return Err(PcapError::UnsupportedLinkType(linktype));
     }
-    // Pre-scan the record headers (O(records), no payload reads) so the
-    // packet vector is allocated exactly once.
-    let mut count = 0usize;
-    let mut pos = 24;
-    while pos + 16 <= buf.len() {
-        let incl = u32_at(pos + 8) as usize;
-        if incl > MAX_RECORD_BYTES || pos + 16 + incl > buf.len() {
-            break; // the parse loop below reports the truncation
-        }
-        pos += 16 + incl;
-        count += 1;
-    }
-    let mut packets = Vec::with_capacity(count);
-    let mut pos = 24;
-    while pos + 16 <= buf.len() {
-        let record_start = pos;
-        let sec = u64::from(u32_at(pos));
-        let sub = u64::from(u32_at(pos + 4));
-        let incl = u32_at(pos + 8) as usize;
-        if incl > MAX_RECORD_BYTES {
-            return Err(PcapError::OversizedRecord(incl));
-        }
-        pos += 16;
-        if pos + incl > buf.len() {
-            // The stream ends inside this record's payload: everything
-            // before it parsed cleanly.
-            return Err(PcapError::PartialTail {
-                offset: record_start as u64,
-                pending: buf.len() - record_start,
-            });
-        }
-        let usec = if nsec { sub / 1000 } else { sub };
-        packets.push(CapturedPacket {
-            timestamp_us: sec * 1_000_000 + usec,
-            data: Bytes::copy_from_slice(&buf[pos..pos + incl]),
-        });
-        pos += incl;
-    }
-    if pos != buf.len() {
-        // 1..15 tail bytes: not even a complete record header.
-        return Err(PcapError::PartialTail {
-            offset: pos as u64,
-            pending: buf.len() - pos,
-        });
-    }
-    packets.sort_by_key(|p| p.timestamp_us);
-    Ok(packets.into_iter().collect())
+    crate::stream::decode_sorted(buf)
 }
 
 #[cfg(test)]

@@ -7,10 +7,9 @@
 //! reader accepts both endiannesses and skips unknown blocks.
 
 use crate::format::PcapError;
-use crate::{Capture, CapturedPacket};
-use bytes::Bytes;
+use crate::Capture;
 
-const BLOCK_SHB: u32 = 0x0A0D_0D0A;
+pub(crate) const BLOCK_SHB: u32 = 0x0A0D_0D0A;
 const BLOCK_IDB: u32 = 0x0000_0001;
 pub(crate) const BLOCK_EPB: u32 = 0x0000_0006;
 const BYTE_ORDER_MAGIC: u32 = 0x1A2B_3C4D;
@@ -92,24 +91,6 @@ pub(crate) struct BlockWalker<'a> {
 }
 
 impl<'a> BlockWalker<'a> {
-    /// Validate the leading SHB and position the cursor at block 0.
-    pub(crate) fn new(buf: &'a [u8]) -> Result<BlockWalker<'a>, PcapError> {
-        if buf.len() < 4 {
-            return Err(PcapError::TruncatedRecord);
-        }
-        // The SHB type value is a byte-order palindrome, so this check
-        // is endianness-independent.
-        let first_type = u32::from_le_bytes(buf[0..4].try_into().unwrap());
-        if first_type != BLOCK_SHB {
-            return Err(PcapError::BadMagic(first_type));
-        }
-        Ok(BlockWalker {
-            buf,
-            pos: 0,
-            big_endian: false,
-        })
-    }
-
     /// Resume mid-chain at a block boundary, with the byte order the
     /// enclosing section established. The streaming decoder re-enters
     /// here on every fed chunk.
@@ -222,35 +203,17 @@ pub(crate) const MAX_BLOCK_BYTES: usize = crate::format::MAX_RECORD_BYTES + 64;
 
 /// Deserialize a pcapng stream (single or multi-section, sections of
 /// either endianness; unknown block types are skipped, as the format
-/// requires). Sections without interfaces or packets are valid and
-/// contribute nothing; a stream cut mid-block yields the typed
-/// [`PcapError::PartialTail`] rather than a generic failure.
+/// requires): the [`StreamDecoder`](crate::stream::StreamDecoder) over
+/// the whole buffer, frames stable-sorted by timestamp. Sections without
+/// interfaces or packets are valid and contribute nothing; a stream cut
+/// mid-block yields the typed [`PcapError::PartialTail`] rather than a
+/// generic failure, and a stream that does not open with a Section
+/// Header Block is [`PcapError::BadMagic`].
 pub fn from_bytes(buf: &[u8]) -> Result<Capture, PcapError> {
-    // Pre-scan the block chain (headers only) to count EPBs, so the
-    // packet vector is allocated exactly once.
-    let mut count = 0usize;
-    let mut scout = BlockWalker::new(buf)?;
-    // An erroring scout just stops counting early; the parse loop below
-    // reports errors with full context.
-    while let Ok(Some((block_type, _, _))) = scout.next_block() {
-        if block_type == BLOCK_EPB {
-            count += 1;
-        }
+    match crate::stream::leading_magic(buf) {
+        Some(magic) if magic != BLOCK_SHB => Err(PcapError::BadMagic(magic)),
+        _ => crate::stream::decode_sorted(buf),
     }
-    let mut packets: Vec<CapturedPacket> = Vec::with_capacity(count);
-    let mut walker = BlockWalker::new(buf)?;
-    while let Some((block_type, body, total)) = walker.next_block()? {
-        if block_type == BLOCK_EPB {
-            let (timestamp_us, data) = walker.decode_epb(body, total)?;
-            packets.push(CapturedPacket {
-                timestamp_us,
-                data: Bytes::copy_from_slice(data),
-            });
-        }
-        // SHB, IDB, and anything unknown: skip.
-    }
-    packets.sort_by_key(|p| p.timestamp_us);
-    Ok(packets.into_iter().collect())
 }
 
 /// Write a capture to any `io::Write` as pcapng.

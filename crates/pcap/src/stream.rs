@@ -1,19 +1,18 @@
 //! Incremental capture decoding for network-fed byte streams.
 //!
-//! The batch readers ([`crate::format::from_bytes`],
-//! [`crate::pcapng::from_bytes`]) need the whole file in memory. A
-//! capture arriving over a socket shows up as arbitrary chunks instead,
-//! and an ingestion daemon must analyze it *as it arrives* without ever
-//! materializing the `O(frames)` byte buffer. [`StreamDecoder`] fills
-//! that gap: feed it chunks in stream order and it emits each completed
+//! A capture arriving over a socket shows up as arbitrary chunks, and
+//! an ingestion daemon must analyze it *as it arrives* without ever
+//! materializing the `O(frames)` byte buffer. [`StreamDecoder`] does
+//! that: feed it chunks in stream order and it emits each completed
 //! frame to a callback, buffering only the current partial record —
-//! `O(max frame)` memory, independent of upload size.
+//! `O(max frame)` memory, independent of upload size. It is the only
+//! decoder per format: the batch readers ([`crate::format::from_bytes`],
+//! [`crate::pcapng::from_bytes`]) feed it a whole buffer and sort.
 //!
 //! The format (classic pcap in either endianness and timestamp
 //! resolution, or pcapng with per-section byte order) is auto-detected
-//! from the first bytes. All errors are the typed
-//! [`PcapError`] values the batch readers
-//! return — a decoder on a network-facing path must never panic, which
+//! from the first bytes. All errors are typed [`PcapError`] values — a
+//! decoder on a network-facing path must never panic, which
 //! `tests/prop_readers.rs` fuzzes.
 //!
 //! Frames are emitted in **stream order** (no timestamp sort): the
@@ -22,13 +21,31 @@
 //! order, and streaming analysis is byte-equivalent to buffered
 //! analysis.
 
-use crate::format::{PcapError, MAX_RECORD_BYTES};
-use crate::pcapng::{BlockWalker, BLOCK_EPB};
+use crate::format::{PcapError, LINKTYPE_ETHERNET, MAGIC_NSEC, MAGIC_USEC, MAX_RECORD_BYTES};
+use crate::pcapng::{BlockWalker, BLOCK_EPB, BLOCK_SHB};
+use crate::{Capture, CapturedPacket};
+use bytes::Bytes;
 
-const MAGIC_USEC: u32 = 0xa1b2_c3d4;
-const MAGIC_NSEC: u32 = 0xa1b2_3c4d;
-const BLOCK_SHB: u32 = 0x0A0D_0D0A;
-const LINKTYPE_ETHERNET: u32 = 1;
+/// The first four bytes read little-endian, if there are four.
+pub(crate) fn leading_magic(buf: &[u8]) -> Option<u32> {
+    Some(u32::from_le_bytes(buf.get(..4)?.try_into().ok()?))
+}
+
+/// Decode a whole in-memory capture of either format: one feed, then
+/// the frames stable-sorted by timestamp. The batch readers' body.
+pub(crate) fn decode_sorted(buf: &[u8]) -> Result<Capture, PcapError> {
+    let mut packets = Vec::new();
+    let mut decoder = StreamDecoder::new();
+    decoder.feed(buf, &mut |timestamp_us, frame: &[u8]| {
+        packets.push(CapturedPacket {
+            timestamp_us,
+            data: Bytes::copy_from_slice(frame),
+        })
+    })?;
+    decoder.finish()?;
+    packets.sort_by_key(|p| p.timestamp_us);
+    Ok(packets.into_iter().collect())
+}
 
 /// Decode state: which format the stream turned out to be.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -61,6 +61,53 @@ fn stream_decode(bytes: &[u8], chunk_sizes: &[usize]) -> Result<Vec<(u64, Vec<u8
     Ok(frames)
 }
 
+/// Frames as `(timestamp, bytes)`, errors as their debug rendering (the
+/// typed error carries no `PartialEq`).
+type Decoded = Result<Vec<(u64, Vec<u8>)>, String>;
+
+/// The batch reader for the format `bytes` announce: pcapng when they
+/// open with a Section Header Block, classic pcap otherwise.
+fn batch_decode(bytes: &[u8]) -> Decoded {
+    let shb = bytes.get(..4) == Some(&[0x0A, 0x0D, 0x0D, 0x0A][..]);
+    let capture = if shb {
+        pcapng::from_bytes(bytes)
+    } else {
+        format::from_bytes(bytes)
+    };
+    capture
+        .map(|c| {
+            c.iter()
+                .map(|p| (p.timestamp_us, p.data.to_vec()))
+                .collect()
+        })
+        .map_err(|e| format!("{e:?}"))
+}
+
+/// Arbitrary bytes: pure garbage, or a valid stream of either format
+/// with one byte flipped and a cut, so the decoders get past the magic.
+fn arb_bytes() -> impl Strategy<Value = Vec<u8>> {
+    (
+        any::<bool>(),
+        proptest::collection::vec(any::<u8>(), 0..512),
+        (
+            arb_capture(),
+            any::<bool>(),
+            any::<(usize, u8)>(),
+            any::<usize>(),
+        ),
+    )
+        .prop_map(|(garbage, random, (c, ng, (idx, flip), cut))| {
+            if garbage {
+                return random;
+            }
+            let mut bytes = encode(&c, ng);
+            let len = bytes.len();
+            bytes[idx % len] ^= flip;
+            bytes.truncate(len - cut % (len / 4 + 1));
+            bytes
+        })
+}
+
 /// A multi-section pcapng stream with per-section byte order.
 fn arb_multi_section() -> impl Strategy<Value = (Vec<u8>, usize)> {
     proptest::collection::vec((arb_capture(), any::<bool>()), 1..4).prop_map(|sections| {
@@ -192,5 +239,22 @@ proptest! {
         if first.is_err() {
             prop_assert!(d.feed(&bytes[cut..], &mut sink).is_err());
         }
+    }
+
+    /// For arbitrary bytes the batch reader answers exactly what the
+    /// stream decoder answers once its frames are stable-sorted by
+    /// timestamp — frames and typed errors alike, under any chunking.
+    #[test]
+    fn batch_equals_sorted_stream(
+        bytes in arb_bytes(),
+        chunks in proptest::collection::vec(1usize..97, 1..8),
+    ) {
+        let streamed = stream_decode(&bytes, &chunks)
+            .map(|mut frames| {
+                frames.sort_by_key(|(ts, _)| *ts);
+                frames
+            })
+            .map_err(|e| format!("{e:?}"));
+        prop_assert_eq!(batch_decode(&bytes), streamed);
     }
 }

@@ -48,8 +48,12 @@ fn main() {
         "Auditing {} devices for IPv6-only readiness...\n",
         profiles.len()
     );
-    let v6 = scenario::run_with_profiles(NetworkConfig::Ipv6Only, &profiles);
-    let dual = scenario::run_with_profiles(NetworkConfig::DualStack, &profiles);
+    let run = |config| {
+        let home = scenario::Home::new(config, &profiles);
+        scenario::run(&home, scenario::build_zones(&profiles)).run
+    };
+    let v6 = run(NetworkConfig::Ipv6Only);
+    let dual = run(NetworkConfig::DualStack);
 
     for p in &profiles {
         let works_v6 = v6.functional.get(&p.id).copied().unwrap_or(false);

@@ -341,8 +341,11 @@ fn tracking_domains_disappear_in_v6only() {
 fn determinism_same_suite_twice() {
     // Two independently-run IPv6-only experiments produce identical
     // captures (the reproducibility guarantee).
-    let a = v6brick::experiments::scenario::run(NetworkConfig::Ipv6Only);
-    let b = v6brick::experiments::scenario::run(NetworkConfig::Ipv6Only);
+    use v6brick::experiments::scenario::{build_zones, run, Home};
+    let profiles = v6brick::devices::registry::shared();
+    let home = Home::new(NetworkConfig::Ipv6Only, profiles);
+    let a = run(&home, build_zones(profiles)).run;
+    let b = run(&home, build_zones(profiles)).run;
     assert_eq!(a.frames, b.frames);
     assert_eq!(a.functional, b.functional);
     let sa = serde_json::to_string(&a.analysis.devices).unwrap();
@@ -354,10 +357,17 @@ fn determinism_same_suite_twice() {
 fn verdicts_are_seed_invariant() {
     // Different RNG seeds change boot jitter and temporary addresses but
     // never the measured feature set or the functionality verdicts.
-    use v6brick::experiments::scenario::run_with_profiles_seeded;
+    use v6brick::experiments::scenario::{build_zones, run, Home};
     let profiles = v6brick::devices::registry::build();
-    let a = run_with_profiles_seeded(NetworkConfig::Ipv6Only, &profiles, 0x1111_0000);
-    let b = run_with_profiles_seeded(NetworkConfig::Ipv6Only, &profiles, 0x2222_0000);
+    let seeded = |seed| {
+        let home = Home {
+            seed,
+            ..Home::new(NetworkConfig::Ipv6Only, &profiles)
+        };
+        run(&home, build_zones(&profiles)).run
+    };
+    let a = seeded(0x1111_0000);
+    let b = seeded(0x2222_0000);
     assert_eq!(
         a.functional, b.functional,
         "functionality is a device property"
