@@ -44,6 +44,19 @@ impl Checksum {
         }
     }
 
+    /// Fold `len` bytes of `byte` into the sum without reading them: the
+    /// closed form of [`Checksum::add`] over `vec![byte; len]`. Every
+    /// word is `byte` twice, so the sum is `len / 2` such words plus a
+    /// zero-padded `byte` when `len` is odd. Like a slice, the fill must
+    /// start at an even offset of the checksummed data; and like one, it
+    /// cannot overflow the sum at any length a packet can have.
+    pub fn add_fill(&mut self, byte: u8, len: usize) {
+        self.sum += (len / 2) as u64 * u64::from(u16::from_be_bytes([byte, byte]));
+        if len % 2 == 1 {
+            self.sum += u64::from(u16::from_be_bytes([byte, 0]));
+        }
+    }
+
     /// Fold a single big-endian 16-bit word into the sum.
     pub fn add_u16(&mut self, v: u16) {
         self.sum += u64::from(v);

@@ -8,13 +8,17 @@
 //! layers are then closed inside-out, which patches each length and
 //! checksum over the bytes already in the buffer. The headers in front
 //! of a layer are its headroom, so wrapping a packet in one more layer
-//! costs one header write rather than a copy of the payload.
+//! costs one header write rather than a copy of the payload. A payload
+//! that ends in filler can instead stay a [`Fill`] tail behind the
+//! buffer: [`Open::close_over`] counts it in every length and checksum
+//! without a byte of it written (see [`crate::tail`]).
 //!
 //! Every `Repr::build` in this crate is a wrapper over these emitters,
 //! so the in-place and the one-shot paths cannot drift apart.
 
 use crate::checksum::Checksum;
 use crate::ipv4::Protocol;
+use crate::tail::Fill;
 use crate::udp::PseudoHeader;
 use crate::{ipv4, ipv6};
 use std::net::Ipv6Addr;
@@ -84,8 +88,34 @@ impl Open {
     /// An IPv4 total length or an IPv6 payload length beyond its 16-bit
     /// field is a caller bug, as in the `Repr::build` wrappers.
     pub fn close(self, buf: &mut [u8]) -> usize {
+        self.close_over(buf, Fill::NONE)
+    }
+
+    /// [`Open::close`] for a payload that continues past the end of
+    /// `buf` with `tail`: lengths count the tail and checksums take its
+    /// closed-form sum ([`Checksum::add_fill`]), so the tail's bytes need
+    /// not exist yet. Writing them behind the closed layers
+    /// ([`Fill::write`]) yields the packet a plain close over the
+    /// materialized bytes would have.
+    ///
+    /// # Panics
+    /// As [`Open::close`].
+    pub fn close_over(self, buf: &mut [u8], tail: Fill) -> usize {
         let b = &mut buf[self.at..];
-        let len = b.len();
+        let held = b.len();
+        let len = held + tail.len;
+        let sum = |mut c: Checksum, b: &[u8]| {
+            c.add(b);
+            if held % 2 == 1 && tail.len > 0 {
+                // The held bytes end mid-word: the tail's first byte
+                // completes it, the rest start at an even offset.
+                c.add_u16(u16::from(tail.byte));
+                c.add_fill(tail.byte, tail.len - 1);
+            } else {
+                c.add_fill(tail.byte, tail.len);
+            }
+            c.finish()
+        };
         match self.kind {
             Kind::Ipv4 => {
                 assert!(
@@ -106,24 +136,21 @@ impl Open {
             }
             Kind::Udp(ph) => {
                 b[4..6].copy_from_slice(&(len as u16).to_be_bytes());
-                let mut c = pseudo(ph, 17, len);
-                c.add(b);
-                let mut sum = c.finish();
+                let mut sum = sum(pseudo(ph, 17, len), b);
                 if sum == 0 {
                     sum = 0xffff; // RFC 768: transmitted zero means "no checksum"
                 }
                 b[6..8].copy_from_slice(&sum.to_be_bytes());
             }
             Kind::Tcp(ph) => {
-                let mut c = pseudo(ph, 6, len);
-                c.add(b);
-                b[16..18].copy_from_slice(&c.finish().to_be_bytes());
+                let sum = sum(pseudo(ph, 6, len), b);
+                b[16..18].copy_from_slice(&sum.to_be_bytes());
             }
             Kind::Icmpv6 { src, dst } => {
                 let mut c = Checksum::new();
                 c.add_ipv6_pseudo(src, dst, 58, len as u32);
-                c.add(b);
-                b[2..4].copy_from_slice(&c.finish().to_be_bytes());
+                let sum = sum(c, b);
+                b[2..4].copy_from_slice(&sum.to_be_bytes());
             }
         }
         len
@@ -167,12 +194,6 @@ pub fn open_ip(buf: &mut Vec<u8>, ips: PseudoHeader, protocol: Protocol, hop_lim
     }
 }
 
-/// Append `len` bytes of `byte` to `buf`: filler is written once, with
-/// no zero-fill in front of it.
-pub fn fill(buf: &mut Vec<u8>, byte: u8, len: usize) {
-    buf.resize(buf.len() + len, byte);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,7 +227,11 @@ mod tests {
         }
         .open(&mut buf);
         let u = udp::open(&mut buf, 1000, 53, ph);
-        fill(&mut buf, 0x5a, 33);
+        Fill {
+            byte: 0x5a,
+            len: 33,
+        }
+        .write(&mut buf);
         assert_eq!(u.close(&mut buf), udp::HEADER_LEN + 33);
         inner.close(&mut buf);
         outer.close(&mut buf);
@@ -234,7 +259,11 @@ mod tests {
         };
         let mut buf = vec![0xee; 3]; // unrelated bytes in front
         let t = seg.header().open(&mut buf, ph);
-        fill(&mut buf, 0x17, 101);
+        Fill {
+            byte: 0x17,
+            len: 101,
+        }
+        .write(&mut buf);
         t.close(&mut buf);
         assert_eq!(&buf[3..], &seg.build(ph)[..]);
         assert_eq!(&buf[..3], &[0xee; 3]);

@@ -4,6 +4,7 @@ use crate::checksum;
 use crate::emit::Open;
 use crate::error::{Error, Result};
 use std::net::Ipv4Addr;
+use std::ops::Range;
 
 /// IP protocol numbers shared by IPv4's `protocol` and IPv6's `next header`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -66,23 +67,7 @@ impl<T: AsRef<[u8]>> Packet<T> {
     /// header checksum.
     pub fn new_checked(buffer: T) -> Result<Packet<T>> {
         let b = buffer.as_ref();
-        if b.len() < HEADER_LEN {
-            return Err(Error::Truncated);
-        }
-        if b[0] >> 4 != 4 {
-            return Err(Error::Malformed);
-        }
-        let ihl = usize::from(b[0] & 0x0f) * 4;
-        if ihl < HEADER_LEN || b.len() < ihl {
-            return Err(Error::Malformed);
-        }
-        let total = usize::from(u16::from_be_bytes([b[2], b[3]]));
-        if total < ihl || b.len() < total {
-            return Err(Error::Truncated);
-        }
-        if !checksum::verify(&b[..ihl]) {
-            return Err(Error::BadChecksum);
-        }
+        check(b, b.len())?;
         Ok(Packet { buffer })
     }
 
@@ -137,6 +122,32 @@ impl<'a> Packet<&'a [u8]> {
         let (ihl, total) = (self.ihl(), usize::from(self.total_len()));
         &self.buffer[ihl..total]
     }
+}
+
+/// Validate the header at the front of `b`, which holds the first bytes
+/// of a `len`-byte packet (all of them, for [`Packet::new_checked`]), and
+/// return the payload's byte range within the packet. The header itself
+/// must lie in `b`.
+#[inline]
+pub fn check(b: &[u8], len: usize) -> Result<Range<usize>> {
+    if b.len() < HEADER_LEN {
+        return Err(Error::Truncated);
+    }
+    if b[0] >> 4 != 4 {
+        return Err(Error::Malformed);
+    }
+    let ihl = usize::from(b[0] & 0x0f) * 4;
+    if ihl < HEADER_LEN || b.len() < ihl {
+        return Err(Error::Malformed);
+    }
+    let total = usize::from(u16::from_be_bytes([b[2], b[3]]));
+    if total < ihl || len < total {
+        return Err(Error::Truncated);
+    }
+    if !checksum::verify(&b[..ihl]) {
+        return Err(Error::BadChecksum);
+    }
+    Ok(ihl..total)
 }
 
 /// Owned representation of an IPv4 header.

@@ -9,6 +9,7 @@ use crate::ipv4::Protocol;
 use crate::mac::Mac;
 use serde::{Deserialize, Serialize};
 use std::net::Ipv6Addr;
+use std::ops::Range;
 
 /// Fixed IPv6 header length.
 pub const HEADER_LEN: usize = 40;
@@ -158,16 +159,7 @@ impl<T: AsRef<[u8]>> Packet<T> {
     /// Wrap a buffer after validating version and payload length.
     pub fn new_checked(buffer: T) -> Result<Packet<T>> {
         let b = buffer.as_ref();
-        if b.len() < HEADER_LEN {
-            return Err(Error::Truncated);
-        }
-        if b[0] >> 4 != 6 {
-            return Err(Error::Malformed);
-        }
-        let plen = usize::from(u16::from_be_bytes([b[4], b[5]]));
-        if b.len() < HEADER_LEN + plen {
-            return Err(Error::Truncated);
-        }
+        check(b, b.len())?;
         Ok(Packet { buffer })
     }
 
@@ -220,6 +212,26 @@ impl<'a> Packet<&'a [u8]> {
         let plen = usize::from(self.payload_len());
         &self.buffer[HEADER_LEN..HEADER_LEN + plen]
     }
+}
+
+/// Validate the header at the front of `b`, which holds the first bytes
+/// of a `len`-byte packet (all of them, for [`Packet::new_checked`]), and
+/// return the payload's byte range within the packet (the declared
+/// `40 + payload_len` bytes; any after them are not the packet's). The
+/// header itself must lie in `b`.
+#[inline]
+pub fn check(b: &[u8], len: usize) -> Result<Range<usize>> {
+    if b.len() < HEADER_LEN {
+        return Err(Error::Truncated);
+    }
+    if b[0] >> 4 != 6 {
+        return Err(Error::Malformed);
+    }
+    let plen = usize::from(u16::from_be_bytes([b[4], b[5]]));
+    if len < HEADER_LEN + plen {
+        return Err(Error::Truncated);
+    }
+    Ok(HEADER_LEN..HEADER_LEN + plen)
 }
 
 /// Owned representation of an IPv6 header.

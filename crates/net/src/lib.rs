@@ -49,6 +49,7 @@ pub mod mac;
 pub mod ndp;
 pub mod parse;
 pub mod sixlowpan;
+pub mod tail;
 pub mod tcp;
 pub mod tls;
 pub mod udp;

@@ -10,6 +10,7 @@ use crate::emit::Open;
 use crate::error::{Error, Result};
 use std::fmt;
 use std::net::{Ipv4Addr, Ipv6Addr};
+use std::ops::Range;
 
 /// Minimum TCP header length (no options).
 pub const HEADER_LEN: usize = 20;
@@ -91,14 +92,14 @@ impl<T: AsRef<[u8]>> Packet<T> {
     /// Wrap a buffer after validating length and data offset.
     pub fn new_checked(buffer: T) -> Result<Packet<T>> {
         let b = buffer.as_ref();
-        if b.len() < HEADER_LEN {
-            return Err(Error::Truncated);
-        }
-        let off = usize::from(b[12] >> 4) * 4;
-        if off < HEADER_LEN || b.len() < off {
-            return Err(Error::Malformed);
-        }
+        check(b, b.len())?;
         Ok(Packet { buffer })
+    }
+
+    /// Wrap without checking: for a header whose [`check`] passed
+    /// against a longer packet than the buffer holds.
+    pub fn new_unchecked(buffer: T) -> Packet<T> {
+        Packet { buffer }
     }
 
     /// Source port.
@@ -170,6 +171,22 @@ impl<'a> Packet<&'a [u8]> {
         let off = self.data_offset();
         &self.buffer[off..]
     }
+}
+
+/// Validate the header at the front of `b`, which holds the first bytes
+/// of a `len`-byte segment (all of them, for [`Packet::new_checked`]),
+/// and return the payload's byte range. The header, options included,
+/// must lie in `b`.
+#[inline]
+pub fn check(b: &[u8], len: usize) -> Result<Range<usize>> {
+    if b.len() < HEADER_LEN {
+        return Err(Error::Truncated);
+    }
+    let off = usize::from(b[12] >> 4) * 4;
+    if off < HEADER_LEN || b.len() < off {
+        return Err(Error::Malformed);
+    }
+    Ok(off..len)
 }
 
 /// Owned representation of a TCP segment.

@@ -8,6 +8,7 @@
 
 use crate::dns::Name;
 use crate::error::{Error, Result};
+use crate::tail::Fill;
 
 /// Build a ClientHello TLS record for `sni`, padded with `payload_len`
 /// bytes of application-data records to reach the requested on-wire size
@@ -78,7 +79,11 @@ pub fn emit_client_hello(buf: &mut Vec<u8>, sni: &Name, payload_len: usize) {
         buf.push(23); // application data
         buf.extend_from_slice(&[0x03, 0x03]);
         buf.extend_from_slice(&(chunk as u16).to_be_bytes());
-        crate::emit::fill(buf, 0x5a, chunk);
+        Fill {
+            byte: 0x5a,
+            len: chunk,
+        }
+        .write(buf);
         remaining -= chunk;
     }
 }

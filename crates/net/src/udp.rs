@@ -4,6 +4,7 @@ use crate::checksum::Checksum;
 use crate::emit::Open;
 use crate::error::{Error, Result};
 use std::net::{Ipv4Addr, Ipv6Addr};
+use std::ops::Range;
 
 /// UDP header length.
 pub const HEADER_LEN: usize = 8;
@@ -18,14 +19,14 @@ impl<T: AsRef<[u8]>> Packet<T> {
     /// Wrap a buffer after validating the length field.
     pub fn new_checked(buffer: T) -> Result<Packet<T>> {
         let b = buffer.as_ref();
-        if b.len() < HEADER_LEN {
-            return Err(Error::Truncated);
-        }
-        let len = usize::from(u16::from_be_bytes([b[4], b[5]]));
-        if len < HEADER_LEN || b.len() < len {
-            return Err(Error::Truncated);
-        }
+        check(b, b.len())?;
         Ok(Packet { buffer })
+    }
+
+    /// Wrap without checking: for a header whose [`check`] passed
+    /// against a longer packet than the buffer holds.
+    pub fn new_unchecked(buffer: T) -> Packet<T> {
+        Packet { buffer }
     }
 
     /// Source port.
@@ -92,6 +93,21 @@ impl<'a> Packet<&'a [u8]> {
         let len = usize::from(self.len());
         &self.buffer[HEADER_LEN..len]
     }
+}
+
+/// Validate the header at the front of `b`, which holds the first bytes
+/// of a `len`-byte datagram (all of them, for [`Packet::new_checked`]),
+/// and return the payload's byte range (bounded by the length field).
+#[inline]
+pub fn check(b: &[u8], len: usize) -> Result<Range<usize>> {
+    if b.len() < HEADER_LEN {
+        return Err(Error::Truncated);
+    }
+    let declared = usize::from(u16::from_be_bytes([b[4], b[5]]));
+    if declared < HEADER_LEN || len < declared {
+        return Err(Error::Truncated);
+    }
+    Ok(HEADER_LEN..declared)
 }
 
 /// Owned representation of a UDP datagram (header + owned payload).

@@ -19,6 +19,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use v6brick_net::ethernet::Frame;
 use v6brick_net::ipv4;
+use v6brick_net::tail::Tailed;
 use v6brick_pcap::Capture;
 pub use v6brick_pcap::FrameSink;
 
@@ -266,11 +267,14 @@ impl Simulation {
                     to_internet,
                     packet,
                 } => {
-                    if self.tunnel_blocked(&packet) {
+                    if self.tunnel_blocked(packet.view()) {
                         self.tunnel_drops += 1;
                     } else if to_internet {
+                        // Outbound packets come from the router's
+                        // `Effects::wan`: all head, no tail.
                         if let Some(reply) =
-                            self.internet.serve(self.clock, &packet, &mut self.free)
+                            self.internet
+                                .serve(self.clock, &packet.head, &mut self.free)
                         {
                             self.queue.push(
                                 self.clock + SimTime(addrs::WAN_DELAY_US),
@@ -282,10 +286,11 @@ impl Simulation {
                         }
                     } else {
                         let mut fx = lend(&mut self.rng, &mut self.free);
-                        self.router.on_wan_packet(self.clock, &packet, &mut fx);
+                        self.router
+                            .on_wan_packet(self.clock, packet.view(), &mut fx);
                         Self::apply(&mut self.queue, &mut self.free, self.clock, ROUTER_SLOT, fx);
                     }
-                    self.free.give(packet);
+                    self.free.give(packet.head);
                 }
             }
         }
@@ -294,16 +299,16 @@ impl Simulation {
 
     /// Is this WAN packet a 6in4 tunnel packet inside an active
     /// tunnel-outage window? IPv4 traffic is never affected.
-    fn tunnel_blocked(&self, packet: &[u8]) -> bool {
+    fn tunnel_blocked(&self, packet: Tailed<&[u8]>) -> bool {
         if !self.faults.tunnel_down(self.clock) {
             return false;
         }
-        let Ok(p) = ipv4::Packet::new_checked(packet) else {
+        let Some((header, _)) = packet.layer(ipv4::check) else {
             return false;
         };
-        let repr = ipv4::Repr::parse(&p);
-        repr.protocol == ipv4::Protocol::Ipv6
-            && (repr.dst == addrs::TUNNEL_REMOTE_IPV4 || repr.src == addrs::TUNNEL_REMOTE_IPV4)
+        let p = ipv4::Packet::new_unchecked(header);
+        p.protocol() == ipv4::Protocol::Ipv6
+            && (p.dst() == addrs::TUNNEL_REMOTE_IPV4 || p.src() == addrs::TUNNEL_REMOTE_IPV4)
     }
 
     /// Deliver one LAN frame: tap it, then hand it to every other host
@@ -381,7 +386,7 @@ impl Simulation {
                 now + SimTime(addrs::WAN_DELAY_US),
                 EventKind::WanPacket {
                     to_internet: true,
-                    packet,
+                    packet: Tailed::bytes(packet),
                 },
             );
         }
@@ -406,7 +411,7 @@ impl Simulation {
             self.clock + SimTime(addrs::WAN_DELAY_US),
             EventKind::WanPacket {
                 to_internet: false,
-                packet,
+                packet: Tailed::bytes(packet),
             },
         );
     }

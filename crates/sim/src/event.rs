@@ -4,6 +4,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
 use std::ops::{Add, Sub};
+use v6brick_net::tail::Tailed;
 
 /// Virtual time, in microseconds since the start of the experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -76,10 +77,16 @@ pub enum EventKind {
     WanPacket {
         /// True when heading from the router to the Internet model.
         to_internet: bool,
-        /// Raw IPv4 bytes.
-        packet: Vec<u8>,
+        /// The packet: every byte in its head, except that the Internet
+        /// model's filler replies keep their payload as a fill tail.
+        packet: WanPacket,
     },
 }
+
+/// An IPv4 packet on the WAN link: header bytes plus an optional fill
+/// tail that its lengths and checksums already cover. Only the hop that
+/// needs bytes (the router, writing a LAN frame) writes the tail.
+pub type WanPacket = Tailed<Vec<u8>>;
 
 /// A scheduled event. Ordering is (time, sequence number), so simultaneous
 /// events fire in scheduling order — the determinism guarantee.

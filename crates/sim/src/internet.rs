@@ -10,7 +10,7 @@
 //! the port scans without a full stack on the cloud side.
 
 use crate::addrs;
-use crate::event::SimTime;
+use crate::event::{SimTime, WanPacket};
 use crate::faults::{DnsFaultMode, FaultPlan};
 use crate::host::FreeList;
 use std::collections::{BTreeSet, HashMap};
@@ -19,6 +19,7 @@ use v6brick_net::dns::{Message, Name, Rcode, Rdata, Record, RecordType};
 use v6brick_net::emit;
 use v6brick_net::ipv4::Protocol;
 use v6brick_net::ipv6::Ipv6AddrExt;
+use v6brick_net::tail::{Fill, Tailed};
 use v6brick_net::udp::PseudoHeader;
 use v6brick_net::{dns, icmpv6, ipv4, ipv6, tcp, udp};
 
@@ -214,10 +215,9 @@ fn soa_for(name: &Name) -> Record {
 #[derive(Debug)]
 pub struct Internet {
     zones: ZoneDb,
-    /// Reverse map so a packet's destination identifies its domain. The
-    /// value is the [`Internet::served`] key for traffic to that address:
-    /// (domain, reached over IPv6).
-    by_addr: HashMap<IpAddr, (Name, bool)>,
+    /// Reverse map so a packet's destination identifies its server: one
+    /// lookup per packet yields everything the server model reads.
+    by_addr: HashMap<IpAddr, Server>,
     /// Fault schedule (zone-level DNS timeout/SERVFAIL windows).
     faults: FaultPlan,
     /// Total bytes served, per (domain, was_ipv6) — observability for tests.
@@ -232,6 +232,16 @@ pub struct Internet {
     /// the passive vantage a tunnel provider (or tapping scanner) has on
     /// the home's addressing, and the hitlist generator's input.
     observed_v6_sources: BTreeSet<Ipv6Addr>,
+}
+
+/// A known server address: the [`Internet::served`] key for traffic to
+/// it (domain, reached over IPv6) and the fields of the domain's profile
+/// that the server model reads.
+#[derive(Debug)]
+struct Server {
+    key: (Name, bool),
+    response_scale: u32,
+    reachable_v6: bool,
 }
 
 /// A server's answer to one packet, decided before a byte of it is
@@ -259,64 +269,72 @@ enum Body {
 }
 
 impl Reply {
-    /// Bytes of the reply's transport header and payload (ICMPv6 replies
-    /// are small and left to ordinary growth).
-    fn transport_len(&self) -> usize {
+    /// The reply's filler, which its packet carries as a fill tail.
+    fn tail(&self) -> Fill {
+        match *self {
+            Reply::Udp {
+                body: Body::Fill(byte, len),
+                ..
+            } => Fill { byte, len },
+            Reply::Tcp { fill, .. } => Fill {
+                byte: 0x17,
+                len: fill,
+            },
+            _ => Fill::NONE,
+        }
+    }
+
+    /// Bytes of the reply's transport header and payload ahead of its
+    /// tail (ICMPv6 replies are small and left to ordinary growth).
+    fn held_len(&self) -> usize {
         match self {
-            Reply::Udp { body, .. } => {
-                udp::HEADER_LEN
-                    + match body {
-                        Body::Bytes(b) => b.len(),
-                        Body::Fill(_, len) => *len,
-                    }
-            }
-            Reply::Tcp { fill, .. } => tcp::HEADER_LEN + fill,
+            Reply::Udp {
+                body: Body::Bytes(b),
+                ..
+            } => udp::HEADER_LEN + b.len(),
+            Reply::Udp { .. } => udp::HEADER_LEN,
+            Reply::Tcp { .. } => tcp::HEADER_LEN,
             Reply::Icmpv6(_) => 0,
         }
     }
 
     /// Append the reply as an IP packet from `ips`' source to its
-    /// destination (hop limit 64), every byte written once. Capacity is
-    /// reserved exactly, so a recycled buffer only grows to the largest
-    /// packet it carries.
-    fn emit(self, buf: &mut Vec<u8>, ips: PseudoHeader) {
-        let ip_len = match ips {
-            PseudoHeader::V4 { .. } => ipv4::HEADER_LEN,
-            PseudoHeader::V6 { .. } => ipv6::HEADER_LEN,
-        };
-        buf.reserve_exact(ip_len + self.transport_len());
+    /// destination (hop limit 64), every held byte written once, and
+    /// return its tail ([`Reply::tail`]). Every layer is closed over the
+    /// tail, so no filler byte is written or summed here.
+    fn emit(self, buf: &mut Vec<u8>, ips: PseudoHeader) -> Fill {
+        let tail = self.tail();
         let protocol = match self {
             Reply::Udp { .. } => Protocol::Udp,
             Reply::Tcp { .. } => Protocol::Tcp,
             Reply::Icmpv6(_) => Protocol::Icmpv6,
         };
         let ip = emit::open_ip(buf, ips, protocol, 64);
-        match self {
+        let transport = match self {
             Reply::Udp {
                 src_port,
                 dst_port,
                 body,
             } => {
                 let u = udp::open(buf, src_port, dst_port, ips);
-                match body {
-                    Body::Bytes(b) => buf.extend_from_slice(&b),
-                    Body::Fill(byte, len) => emit::fill(buf, byte, len),
+                if let Body::Bytes(b) = body {
+                    buf.extend_from_slice(&b);
                 }
-                u.close(buf);
+                Some(u)
             }
-            Reply::Tcp { header, fill } => {
-                let t = header.open(buf, ips);
-                emit::fill(buf, 0x17, fill);
-                t.close(buf);
-            }
+            Reply::Tcp { header, .. } => Some(header.open(buf, ips)),
             Reply::Icmpv6(msg) => {
                 let PseudoHeader::V6 { src, dst } = ips else {
                     unreachable!("ICMPv6 replies travel over IPv6");
                 };
                 msg.emit_into(buf, src, dst);
+                None
             }
+        };
+        for layer in transport.into_iter().chain([ip]) {
+            layer.close_over(buf, tail);
         }
-        ip.close(buf);
+        tail
     }
 }
 
@@ -325,11 +343,16 @@ impl Internet {
     pub fn new(zones: ZoneDb) -> Internet {
         let mut by_addr = HashMap::new();
         for p in zones.iter() {
+            let server = |v6: bool| Server {
+                key: (p.name.clone(), v6),
+                response_scale: p.response_scale,
+                reachable_v6: p.reachable_v6,
+            };
             if let Some(a) = p.a {
-                by_addr.insert(IpAddr::V4(a), (p.name.clone(), false));
+                by_addr.insert(IpAddr::V4(a), server(false));
             }
             if let Some(aaaa) = p.aaaa {
-                by_addr.insert(IpAddr::V6(aaaa), (p.name.clone(), true));
+                by_addr.insert(IpAddr::V6(aaaa), server(true));
             }
         }
         Internet {
@@ -379,9 +402,11 @@ impl Internet {
     /// Handle one IPv4 packet arriving from the router's WAN interface
     /// at virtual time `now`, emitting the reply packet (if any) into a
     /// buffer taken from `free`. A reply to a 6in4 packet is written
-    /// inside its tunnel header in the same buffer, filler included, so
-    /// each reply byte is written exactly once.
-    pub fn serve(&mut self, now: SimTime, packet: &[u8], free: &mut FreeList) -> Option<Vec<u8>> {
+    /// inside its tunnel header in the same buffer. A filler payload
+    /// stays the reply's fill tail: every length and checksum covers it,
+    /// but no byte of it is written or summed here (the router writes it
+    /// once, into the LAN frame).
+    pub fn serve(&mut self, now: SimTime, packet: &[u8], free: &mut FreeList) -> Option<WanPacket> {
         let p = ipv4::Packet::new_checked(packet).ok()?;
         let repr = ipv4::Repr::parse(&p);
         if repr.protocol == Protocol::Ipv6 && repr.dst == addrs::TUNNEL_REMOTE_IPV4 {
@@ -396,8 +421,8 @@ impl Internet {
                 return None;
             }
             let reply = self.handle_v6(now, &inner_repr, inner.payload())?;
-            let mut buf = free.take();
-            buf.reserve_exact(ipv4::HEADER_LEN + ipv6::HEADER_LEN + reply.transport_len());
+            let mut head = free.take();
+            head.reserve_exact(ipv4::HEADER_LEN + ipv6::HEADER_LEN + reply.held_len());
             let tunnel = ipv4::Repr {
                 src: addrs::TUNNEL_REMOTE_IPV4,
                 dst: repr.src,
@@ -405,65 +430,66 @@ impl Internet {
                 ttl: 64,
                 payload_len: 0,
             }
-            .open(&mut buf);
-            reply.emit(
-                &mut buf,
-                PseudoHeader::V6 {
-                    src: inner_repr.dst,
-                    dst: inner_repr.src,
-                },
-            );
-            tunnel.close(&mut buf);
-            Some(buf)
+            .open(&mut head);
+            let ips = PseudoHeader::V6 {
+                src: inner_repr.dst,
+                dst: inner_repr.src,
+            };
+            let fill = reply.emit(&mut head, ips);
+            tunnel.close_over(&mut head, fill);
+            Some(Tailed { head, fill })
         } else {
             let reply = self.handle_v4(now, &repr, p.payload())?;
-            let mut buf = free.take();
-            reply.emit(
-                &mut buf,
-                PseudoHeader::V4 {
-                    src: repr.dst,
-                    dst: repr.src,
-                },
-            );
-            Some(buf)
+            let mut head = free.take();
+            head.reserve_exact(ipv4::HEADER_LEN + reply.held_len());
+            let ips = PseudoHeader::V4 {
+                src: repr.dst,
+                dst: repr.src,
+            };
+            let fill = reply.emit(&mut head, ips);
+            Some(Tailed { head, fill })
         }
     }
 
     fn handle_v4(&mut self, now: SimTime, ip: &ipv4::Repr, payload: &[u8]) -> Option<Reply> {
+        let dst = IpAddr::V4(ip.dst);
+        let server = self.by_addr.get(&dst);
         match ip.protocol {
             Protocol::Udp => {
                 let u = udp::Packet::new_checked(payload).ok()?;
-                self.handle_udp(now, IpAddr::V4(ip.dst), &u)
+                if is_resolver(dst) && u.dst_port() == 53 {
+                    return self.resolve(now, &u);
+                }
+                Some(udp_service(server?, &mut self.served, &u))
             }
             Protocol::Tcp => {
                 let t = tcp::Packet::new_checked(payload).ok()?;
-                self.handle_tcp(IpAddr::V4(ip.dst), &t)
+                tcp_service(server?, &mut self.served, &t)
             }
             _ => None,
         }
     }
 
     fn handle_v6(&mut self, now: SimTime, ip: &ipv6::Repr, payload: &[u8]) -> Option<Reply> {
+        let dst = IpAddr::V6(ip.dst);
+        let server = self.by_addr.get(&dst);
         // The §7 reachability extension: servers whose AAAA exists but
         // whose IPv6 path is dead swallow everything silently.
-        let dst = IpAddr::V6(ip.dst);
-        if let Some((name, _)) = self.by_addr.get(&dst) {
-            if self.zones.get(name).is_some_and(|p| !p.reachable_v6) {
-                return None;
-            }
+        if server.is_some_and(|s| !s.reachable_v6) {
+            return None;
         }
         match ip.next_header {
             Protocol::Udp => {
                 let u = udp::Packet::new_checked(payload).ok()?;
-                self.handle_udp(now, dst, &u)
+                if is_resolver(dst) && u.dst_port() == 53 {
+                    return self.resolve(now, &u);
+                }
+                Some(udp_service(server?, &mut self.served, &u))
             }
             Protocol::Icmpv6 => {
                 // Echo service on resolvers and known servers (the IoT
                 // connectivity probes of §5.4.1's "misc" EUI-64 uses).
-                let known = ip.dst == addrs::DNS6_PRIMARY
-                    || ip.dst == addrs::DNS6_SECONDARY
-                    || self.by_addr.contains_key(&dst);
-                if !known {
+                if !is_resolver(dst) && server.is_none() {
                     return None;
                 }
                 match icmpv6::Repr::parse_bytes(ip.src, ip.dst, payload) {
@@ -481,98 +507,110 @@ impl Internet {
             }
             Protocol::Tcp => {
                 let t = tcp::Packet::new_checked(payload).ok()?;
-                self.handle_tcp(dst, &t)
+                tcp_service(server?, &mut self.served, &t)
             }
             _ => None,
         }
     }
 
-    /// UDP service dispatch for a datagram addressed to `dst`.
-    fn handle_udp(&mut self, now: SimTime, dst: IpAddr, u: &udp::Packet<&[u8]>) -> Option<Reply> {
-        let (dst_port, payload) = (u.dst_port(), u.payload());
-        let reply = |src_port: u16, body: Body| Reply::Udp {
-            src_port,
-            dst_port: u.src_port(),
-            body,
-        };
-        let is_resolver = match dst {
-            IpAddr::V4(d) => d == addrs::DNS4_PRIMARY || d == addrs::DNS4_SECONDARY,
-            IpAddr::V6(d) => d == addrs::DNS6_PRIMARY || d == addrs::DNS6_SECONDARY,
-        };
-        if is_resolver && dst_port == 53 {
-            let query = dns::Message::parse_bytes(payload).ok()?;
-            if query.is_response {
-                return None;
-            }
-            // Zone-level resolver faults: the query times out (no reply
-            // packet at all) or comes back SERVFAIL.
-            if let Some(q) = query.question() {
-                match self.faults.dns_fault_for(now, q.name.as_str()) {
-                    Some(DnsFaultMode::Timeout) => return None,
-                    Some(DnsFaultMode::Servfail) => {
-                        let body = query.response(Rcode::ServFail).build();
-                        return Some(reply(53, Body::Bytes(body)));
-                    }
-                    None => {}
-                }
-            }
-            return Some(reply(53, Body::Bytes(self.zones.resolve(&query).build())));
-        }
-        let key = self.by_addr.get(&dst)?;
-        // NTP on any known server address.
-        if dst_port == 123 {
-            return Some(reply(123, Body::Fill(0x24, 48)));
-        }
-        // Generic UDP cloud service on a known server: scaled echo.
-        let profile = self.zones.get(&key.0)?;
-        let len = (payload.len() as u32 * profile.response_scale).clamp(16, 8192) as usize;
-        account(&mut self.served, key, len);
-        Some(reply(dst_port, Body::Fill(0x5a, len)))
-    }
-
-    /// Semi-stateless server-side TCP for a segment addressed to `dst`.
-    fn handle_tcp(&mut self, dst: IpAddr, seg: &tcp::Packet<&[u8]>) -> Option<Reply> {
-        // Unroutable/unknown destination: silence (packets to nowhere).
-        let key = self.by_addr.get(&dst)?;
-        let profile = self.zones.get(&key.0)?;
-        let (flags, data_len) = (seg.flags(), seg.payload().len());
-        let mut header = tcp::Header {
-            src_port: seg.dst_port(),
-            dst_port: seg.src_port(),
-            seq: seg.ack(),
-            ack: seg.seq(),
-            flags: tcp::Flags::ACK,
-            window: 0xffff,
-        };
-        let mut fill = 0;
-        if flags.contains(tcp::Flags::SYN) {
-            // Accept connections on the standard cloud ports; anything
-            // else gets the RST a closed port sends.
-            let open = matches!(seg.dst_port(), 443 | 80 | 8883 | 8443 | 123);
-            header.ack = seg.seq().wrapping_add(1);
-            if open {
-                header.seq = 1000;
-                header.flags = tcp::Flags::SYN | tcp::Flags::ACK;
-            } else {
-                header.seq = 0;
-                header.flags = tcp::Flags::RST | tcp::Flags::ACK;
-                header.window = 0;
-            }
-        } else if flags.contains(tcp::Flags::FIN) {
-            header.ack = seg.seq().wrapping_add(1 + data_len as u32);
-            header.flags = tcp::Flags::FIN | tcp::Flags::ACK;
-        } else if data_len > 0 {
-            // Cap the response segment well inside the IPv6 payload-length
-            // field; clients chase volume with multiple request segments.
-            fill = (data_len as u32 * profile.response_scale).clamp(64, 48 * 1024) as usize;
-            account(&mut self.served, key, fill);
-            header.ack = seg.seq().wrapping_add(data_len as u32);
-            header.flags = tcp::Flags::PSH | tcp::Flags::ACK;
-        } else {
+    /// The public resolvers' DNS service for a query datagram.
+    fn resolve(&self, now: SimTime, u: &udp::Packet<&[u8]>) -> Option<Reply> {
+        let query = dns::Message::parse_bytes(u.payload()).ok()?;
+        if query.is_response {
             return None;
         }
-        Some(Reply::Tcp { header, fill })
+        let reply = |body: Vec<u8>| Reply::Udp {
+            src_port: 53,
+            dst_port: u.src_port(),
+            body: Body::Bytes(body),
+        };
+        // Zone-level resolver faults: the query times out (no reply
+        // packet at all) or comes back SERVFAIL.
+        if let Some(q) = query.question() {
+            match self.faults.dns_fault_for(now, q.name.as_str()) {
+                Some(DnsFaultMode::Timeout) => return None,
+                Some(DnsFaultMode::Servfail) => {
+                    return Some(reply(query.response(Rcode::ServFail).build()));
+                }
+                None => {}
+            }
+        }
+        Some(reply(self.zones.resolve(&query).build()))
     }
+}
+
+/// Is `addr` one of the public resolvers?
+fn is_resolver(addr: IpAddr) -> bool {
+    match addr {
+        IpAddr::V4(a) => a == addrs::DNS4_PRIMARY || a == addrs::DNS4_SECONDARY,
+        IpAddr::V6(a) => a == addrs::DNS6_PRIMARY || a == addrs::DNS6_SECONDARY,
+    }
+}
+
+/// A known server's UDP service for one datagram: NTP on port 123,
+/// anything else a scaled echo of filler (accounted in `served`).
+fn udp_service(
+    server: &Server,
+    served: &mut HashMap<(Name, bool), u64>,
+    u: &udp::Packet<&[u8]>,
+) -> Reply {
+    let (dst_port, body) = if u.dst_port() == 123 {
+        (123, Body::Fill(0x24, 48))
+    } else {
+        let len = (u.payload().len() as u32 * server.response_scale).clamp(16, 8192) as usize;
+        account(served, &server.key, len);
+        (u.dst_port(), Body::Fill(0x5a, len))
+    };
+    Reply::Udp {
+        src_port: dst_port,
+        dst_port: u.src_port(),
+        body,
+    }
+}
+
+/// A known server's semi-stateless TCP for one segment.
+fn tcp_service(
+    server: &Server,
+    served: &mut HashMap<(Name, bool), u64>,
+    seg: &tcp::Packet<&[u8]>,
+) -> Option<Reply> {
+    let (flags, data_len) = (seg.flags(), seg.payload().len());
+    let mut header = tcp::Header {
+        src_port: seg.dst_port(),
+        dst_port: seg.src_port(),
+        seq: seg.ack(),
+        ack: seg.seq(),
+        flags: tcp::Flags::ACK,
+        window: 0xffff,
+    };
+    let mut fill = 0;
+    if flags.contains(tcp::Flags::SYN) {
+        // Accept connections on the standard cloud ports; anything
+        // else gets the RST a closed port sends.
+        let open = matches!(seg.dst_port(), 443 | 80 | 8883 | 8443 | 123);
+        header.ack = seg.seq().wrapping_add(1);
+        if open {
+            header.seq = 1000;
+            header.flags = tcp::Flags::SYN | tcp::Flags::ACK;
+        } else {
+            header.seq = 0;
+            header.flags = tcp::Flags::RST | tcp::Flags::ACK;
+            header.window = 0;
+        }
+    } else if flags.contains(tcp::Flags::FIN) {
+        header.ack = seg.seq().wrapping_add(1 + data_len as u32);
+        header.flags = tcp::Flags::FIN | tcp::Flags::ACK;
+    } else if data_len > 0 {
+        // Cap the response segment well inside the IPv6 payload-length
+        // field; clients chase volume with multiple request segments.
+        fill = (data_len as u32 * server.response_scale).clamp(64, 48 * 1024) as usize;
+        account(served, &server.key, fill);
+        header.ack = seg.seq().wrapping_add(data_len as u32);
+        header.flags = tcp::Flags::PSH | tcp::Flags::ACK;
+    } else {
+        return None;
+    }
+    Some(Reply::Tcp { header, fill })
 }
 
 /// Add `len` served bytes under `key`, cloning the key only the first
@@ -594,9 +632,10 @@ mod tests {
         Name::new(s).unwrap()
     }
 
-    /// Serve one packet at `t = 0` into a fresh buffer.
+    /// Serve one packet at `t = 0` into a fresh buffer, its tail written.
     fn serve(net: &mut Internet, packet: &[u8]) -> Option<Vec<u8>> {
         net.serve(SimTime::ZERO, packet, &mut FreeList::default())
+            .map(|reply| reply.view().to_vec())
     }
 
     fn test_internet() -> Internet {
@@ -715,6 +754,7 @@ mod tests {
                 &mut FreeList::default(),
             );
             reply.map(|r| {
+                let r = r.view().to_vec();
                 let rp = ipv4::Packet::new_checked(&r[..]).unwrap();
                 let ru = udp::Packet::new_checked(rp.payload()).unwrap();
                 Message::parse_bytes(ru.payload()).unwrap().rcode

@@ -25,6 +25,7 @@ use v6brick_net::ethernet::{EtherType, Repr as EthRepr};
 use v6brick_net::ipv4::Protocol;
 use v6brick_net::ipv6::{mcast, Ipv6AddrExt};
 use v6brick_net::ndp::{NdpOption, Repr as Ndp};
+use v6brick_net::tail::Tailed;
 use v6brick_net::udp::PseudoHeader;
 use v6brick_net::{arp, dhcpv4, dhcpv6, ethernet, icmpv6, ipv4, ipv6, tcp, udp, Mac};
 
@@ -212,32 +213,62 @@ impl Router {
         }
     }
 
-    /// An IPv4 packet arriving from the WAN (internet side).
-    pub fn on_wan_packet(&mut self, _now: SimTime, packet: &[u8], fx: &mut Effects) {
-        let Ok(p) = ipv4::Packet::new_checked(packet) else {
+    /// An IPv4 packet arriving from the WAN (internet side). Its payload
+    /// may end in a fill tail, whose bytes are written once, straight
+    /// into the LAN frame. A packet whose headers do not parse, or whose
+    /// declared lengths its bytes and tail cannot fill, is dropped and
+    /// counted.
+    pub fn on_wan_packet(&mut self, _now: SimTime, packet: Tailed<&[u8]>, fx: &mut Effects) {
+        let Some((header, l4)) = packet.layer(ipv4::check) else {
+            self.dropped += 1;
             return;
         };
-        let repr = ipv4::Repr::parse(&p);
+        let p = ipv4::Packet::new_unchecked(header);
+        let repr = ipv4::Repr {
+            src: p.src(),
+            dst: p.dst(),
+            protocol: p.protocol(),
+            ttl: p.ttl(),
+            payload_len: l4.len(),
+        };
         // 6in4 tunnel ingress: decapsulate and route onto the LAN.
         if repr.protocol == Protocol::Ipv6 && repr.src == addrs::TUNNEL_REMOTE_IPV4 {
             if !self.config.ipv6 {
                 self.dropped += 1;
                 return;
             }
-            let Ok(inner) = ipv6::Packet::new_checked(p.payload()) else {
+            // Exactly the packet the inner header declares: bytes after
+            // its `40 + payload_len` never reach the LAN.
+            let Some((header, payload)) = l4.layer(ipv6::check) else {
+                self.dropped += 1;
                 return;
             };
-            let inner_repr = ipv6::Repr::parse(&inner);
-            if !self.wan_v6_permitted(&inner_repr, inner.payload()) {
+            let inner = ipv6::Packet::new_unchecked(header);
+            let inner_repr = ipv6::Repr {
+                src: inner.src(),
+                dst: inner.dst(),
+                next_header: inner.next_header(),
+                hop_limit: inner.hop_limit(),
+                payload_len: payload.len(),
+            };
+            if !self.wan_v6_permitted(&inner_repr, payload) {
                 self.wan_v6_filtered += 1;
                 return;
             }
-            let dst = inner.dst();
             // Routed (no NAT66): deliver to the on-link neighbor if known,
-            // the decapsulated packet copied once into its LAN frame.
-            if let Some(&mac) = self.neighbors_v6.get(&dst) {
-                let inner = p.payload();
-                fx.emit_frame(|b| eth_frame(b, addrs::ROUTER_MAC, mac, EtherType::Ipv6, inner));
+            // the decapsulated packet written once into its LAN frame.
+            if let Some(&mac) = self.neighbors_v6.get(&inner_repr.dst) {
+                fx.emit_frame(|b| {
+                    b.reserve_exact(ethernet::HEADER_LEN + header.len() + payload.len());
+                    EthRepr {
+                        src: addrs::ROUTER_MAC,
+                        dst: mac,
+                        ethertype: EtherType::Ipv6,
+                    }
+                    .emit_into(b);
+                    b.extend_from_slice(header);
+                    payload.write_into(b);
+                });
             } else {
                 self.dropped += 1;
             }
@@ -248,7 +279,7 @@ impl Router {
             return;
         }
         // Reverse NAT.
-        let (dst_port, proto) = match extract_ports_v4(&repr, p.payload()) {
+        let (dst_port, proto) = match ports(repr.protocol, l4) {
             Some((_, dst_port, proto)) => (dst_port, proto),
             None => {
                 self.dropped += 1;
@@ -264,7 +295,6 @@ impl Router {
             self.dropped += 1;
             return;
         };
-        let l4 = p.payload();
         fx.emit_frame(|b| {
             b.reserve_exact(ethernet::HEADER_LEN + ipv4::HEADER_LEN + l4.len());
             EthRepr {
@@ -325,7 +355,8 @@ impl Router {
         }
 
         // Outbound: NAT and forward to the WAN.
-        let Some((src_port, _dst_port, proto)) = extract_ports_v4(&repr, p.payload()) else {
+        let l4 = Tailed::bytes(p.payload());
+        let Some((src_port, _dst_port, proto)) = ports(repr.protocol, l4) else {
             self.dropped += 1;
             return;
         };
@@ -340,7 +371,6 @@ impl Router {
                 p
             }
         };
-        let l4 = p.payload();
         fx.emit_wan(|b| {
             nat44_rewrite(b, &repr, l4, Some((addrs::ROUTER_WAN_IPV4, wan_port)), None)
         });
@@ -589,7 +619,8 @@ impl Router {
         }
         // An outbound flow opens a stateful pinhole for its return
         // traffic, whatever the firewall policy.
-        if let Some((proto, src_port, dst_port)) = flow_v6(repr, &packet[ipv6::HEADER_LEN..]) {
+        let l4 = Tailed::bytes(&packet[ipv6::HEADER_LEN..]);
+        if let Some((proto, src_port, dst_port)) = flow_v6(repr, l4) {
             self.v6_flows
                 .insert((repr.src, repr.dst, proto, src_port, dst_port));
         }
@@ -610,7 +641,7 @@ impl Router {
 
     /// Does the WAN firewall policy let this decapsulated inbound IPv6
     /// packet onto the LAN?
-    fn wan_v6_permitted(&self, inner: &ipv6::Repr, l4: &[u8]) -> bool {
+    fn wan_v6_permitted(&self, inner: &ipv6::Repr, l4: Tailed<&[u8]>) -> bool {
         let policy = self.config.wan_v6_firewall;
         if policy == FirewallPolicy::Open {
             return true;
@@ -701,50 +732,43 @@ fn ia_with(addr: Ipv6Addr, iaid: u32) -> dhcpv6::IaNa {
 /// (proto byte, src_port, dst_port) flow tuple of a v6 payload. ICMPv6
 /// flows are keyed on the address pair alone (ports 0/0), which pairs an
 /// outbound echo request with its inbound reply.
-fn flow_v6(repr: &ipv6::Repr, l4: &[u8]) -> Option<(u8, u16, u16)> {
-    match repr.next_header {
-        Protocol::Udp => {
-            let u = udp::Packet::new_checked(l4).ok()?;
-            Some((17, u.src_port(), u.dst_port()))
-        }
-        Protocol::Tcp => {
-            let t = tcp::Packet::new_checked(l4).ok()?;
-            Some((6, t.src_port(), t.dst_port()))
-        }
-        Protocol::Icmpv6 => Some((58, 0, 0)),
-        _ => None,
+fn flow_v6(repr: &ipv6::Repr, l4: Tailed<&[u8]>) -> Option<(u8, u16, u16)> {
+    if repr.next_header == Protocol::Icmpv6 {
+        return Some((58, 0, 0));
     }
+    let (src_port, dst_port, proto) = ports(repr.next_header, l4)?;
+    Some((proto, src_port, dst_port))
 }
 
-/// (src_port, dst_port, proto byte) of a v4 payload, if TCP/UDP.
-fn extract_ports_v4(repr: &ipv4::Repr, payload: &[u8]) -> Option<(u16, u16, u8)> {
-    match repr.protocol {
-        Protocol::Udp => {
-            let u = udp::Packet::new_checked(payload).ok()?;
-            Some((u.src_port(), u.dst_port(), 17))
-        }
-        Protocol::Tcp => {
-            let t = tcp::Packet::new_checked(payload).ok()?;
-            Some((t.src_port(), t.dst_port(), 6))
-        }
-        _ => None,
-    }
+/// (src_port, dst_port, proto byte) of a TCP segment or UDP datagram
+/// whose header checks out; `None` for any other protocol.
+fn ports(protocol: Protocol, l4: Tailed<&[u8]>) -> Option<(u16, u16, u8)> {
+    let (header, _) = match protocol {
+        Protocol::Udp => l4.layer(udp::check)?,
+        Protocol::Tcp => l4.layer(tcp::check)?,
+        _ => return None,
+    };
+    // Both headers open with the source and destination ports.
+    let port = |at: usize| u16::from_be_bytes([header[at], header[at + 1]]);
+    Some((port(0), port(2), protocol.into()))
 }
 
 /// Append `ip`'s packet, rewritten for NAT44, to `buf`: the source
 /// (outbound) or destination (inbound) address and port replaced, the TTL
-/// decremented, and the IPv4 and transport checksums recomputed over the
-/// buffer. The headers are written fresh from the parsed fields (no IP
-/// or TCP options, zeroed identification and urgent pointer) and the
-/// transport payload is copied once behind them.
+/// decremented, and the IPv4 and transport checksums recomputed. The
+/// headers are written fresh from the parsed fields (no IP or TCP
+/// options, zeroed identification and urgent pointer) and the transport
+/// payload's held bytes are copied once behind them. Its fill tail is
+/// summed in closed form while the layers are closed, then written once
+/// behind them: a filler payload is never read.
 ///
 /// # Panics
-/// `l4` must be a TCP segment or UDP datagram that passes `new_checked`
-/// (the router checks this while reading the ports).
+/// `l4` must be a TCP segment or UDP datagram whose header passes its
+/// `check` (the router checks this while reading the ports).
 pub fn nat44_rewrite(
     buf: &mut Vec<u8>,
     ip: &ipv4::Repr,
-    l4: &[u8],
+    l4: Tailed<&[u8]>,
     new_src: Option<(Ipv4Addr, u16)>,
     new_dst: Option<(Ipv4Addr, u16)>,
 ) {
@@ -760,34 +784,36 @@ pub fn nat44_rewrite(
         payload_len: 0,
     }
     .open(buf);
-    match ip.protocol {
+    let (transport, payload) = match ip.protocol {
         Protocol::Udp => {
-            let u = udp::Packet::new_checked(l4).expect("caller verified");
+            let (header, payload) = l4.layer(udp::check).expect("caller verified");
+            let u = udp::Packet::new_unchecked(header);
             let transport = udp::open(
                 buf,
                 new_src.map(|(_, p)| p).unwrap_or_else(|| u.src_port()),
                 new_dst.map(|(_, p)| p).unwrap_or_else(|| u.dst_port()),
                 ips,
             );
-            buf.extend_from_slice(u.payload());
-            transport.close(buf);
+            (Some(transport), payload)
         }
         Protocol::Tcp => {
-            let t = tcp::Packet::new_checked(l4).expect("caller verified");
-            let mut header = tcp::Header::parse(&t);
+            let (header, payload) = l4.layer(tcp::check).expect("caller verified");
+            let mut header = tcp::Header::parse(&tcp::Packet::new_unchecked(header));
             if let Some((_, p)) = new_src {
                 header.src_port = p;
             }
             if let Some((_, p)) = new_dst {
                 header.dst_port = p;
             }
-            let transport = header.open(buf, ips);
-            buf.extend_from_slice(t.payload());
-            transport.close(buf);
+            (Some(header.open(buf, ips)), payload)
         }
-        _ => buf.extend_from_slice(l4),
+        _ => (None, l4),
+    };
+    buf.extend_from_slice(payload.head);
+    for layer in transport.into_iter().chain([out]) {
+        layer.close_over(buf, payload.fill);
     }
-    out.close(buf);
+    payload.fill.write(buf);
 }
 
 impl RouterConfig {
@@ -1153,7 +1179,7 @@ mod tests {
         }
         .build(&reply_udp);
         let mut fx = Effects::new(&mut rng);
-        router.on_wan_packet(SimTime::ZERO, &reply, &mut fx);
+        router.on_wan_packet(SimTime::ZERO, Tailed::bytes(&reply), &mut fx);
         assert_eq!(fx.frames.len(), 1);
         let p = v6brick_net::parse::ParsedPacket::parse(&fx.frames[0]).unwrap();
         assert_eq!(p.dst_ip().unwrap().to_string(), "192.168.1.100");
@@ -1179,7 +1205,7 @@ mod tests {
         .build(&stray_udp);
         let dropped_before = router.dropped;
         let mut fx = Effects::new(&mut rng);
-        router.on_wan_packet(SimTime::ZERO, &stray, &mut fx);
+        router.on_wan_packet(SimTime::ZERO, Tailed::bytes(&stray), &mut fx);
         assert!(fx.frames.is_empty());
         assert_eq!(router.dropped, dropped_before + 1);
     }
@@ -1367,7 +1393,7 @@ mod tests {
         let mut fx = Effects::new(&mut rng);
         router.on_wan_packet(
             SimTime::ZERO,
-            &encap_v6(&inner_udp(remote, dev, 443, 5000)),
+            Tailed::bytes(&encap_v6(&inner_udp(remote, dev, 443, 5000))),
             &mut fx,
         );
         assert!(fx.frames.is_empty());
@@ -1384,7 +1410,7 @@ mod tests {
         let mut fx = Effects::new(&mut rng);
         router.on_wan_packet(
             SimTime::ZERO,
-            &encap_v6(&inner_udp(remote, dev, 443, 5000)),
+            Tailed::bytes(&encap_v6(&inner_udp(remote, dev, 443, 5000))),
             &mut fx,
         );
         assert_eq!(fx.frames.len(), 1);
@@ -1394,7 +1420,7 @@ mod tests {
         let mut fx = Effects::new(&mut rng);
         router.on_wan_packet(
             SimTime::ZERO,
-            &encap_v6(&inner_udp(remote, dev, 444, 5000)),
+            Tailed::bytes(&encap_v6(&inner_udp(remote, dev, 444, 5000))),
             &mut fx,
         );
         assert!(fx.frames.is_empty());
@@ -1412,7 +1438,7 @@ mod tests {
 
         let deliver = |router: &mut Router, rng: &mut StdRng, inner: Vec<u8>| {
             let mut fx = Effects::new(rng);
-            router.on_wan_packet(SimTime::ZERO, &encap_v6(&inner), &mut fx);
+            router.on_wan_packet(SimTime::ZERO, Tailed::bytes(&encap_v6(&inner)), &mut fx);
             fx.frames.len()
         };
 
@@ -1493,7 +1519,7 @@ mod tests {
         }
         .build(&inner);
         let mut fx = Effects::new(&mut rng);
-        router.on_wan_packet(SimTime::ZERO, &encap, &mut fx);
+        router.on_wan_packet(SimTime::ZERO, Tailed::bytes(&encap), &mut fx);
         assert_eq!(fx.frames.len(), 1);
         let p = v6brick_net::parse::ParsedPacket::parse(&fx.frames[0]).unwrap();
         assert_eq!(p.eth.dst, client_mac());

@@ -203,7 +203,11 @@ mod tests {
             },
             &tcp::Repr::syn(40000, 443, 1).header(),
         );
-        emit::fill(&mut f, 0x5a, 999);
+        v6brick_net::tail::Fill {
+            byte: 0x5a,
+            len: 999,
+        }
+        .write(&mut f);
         frame.close(&mut f);
         let p = ParsedPacket::parse(&f).unwrap();
         assert_eq!(p.l4_payload(), Some(&[0x5a; 999][..]));

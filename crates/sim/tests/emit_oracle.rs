@@ -10,19 +10,25 @@
 //! over IPv4 and IPv6, in Ethernet and in 6in4, with empty, odd-length
 //! and 48 KiB payloads, both paths must produce the same bytes. The old
 //! NAT44 parse-and-rebuild (`rewrite_v4`) is the oracle for the router's
-//! in-place rewrite.
+//! in-place rewrite, and the old router's inbound framing
+//! (`inbound_frame`) for the LAN frames it writes from filler replies
+//! that cross the WAN as headers plus a fill tail.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::net::{Ipv4Addr, Ipv6Addr};
 use v6brick_net::checksum::{self, Checksum};
 use v6brick_net::dns::Name;
 use v6brick_net::emit;
 use v6brick_net::ethernet::{self, EtherType};
 use v6brick_net::ipv4::Protocol;
+use v6brick_net::tail::{Fill, Tailed};
 use v6brick_net::udp::PseudoHeader;
 use v6brick_net::{icmpv6, ipv4, ipv6, tcp, tls, udp, Mac};
+use v6brick_sim::addrs;
 use v6brick_sim::router::nat44_rewrite;
-use v6brick_sim::wire;
+use v6brick_sim::{wire, Effects, Router, RouterConfig, SimTime};
 
 // --- the oracle: the pre-emitter compositional builders ---------------------
 
@@ -362,6 +368,23 @@ mod oracle {
             &l4_new,
         )
     }
+
+    /// The LAN frame `Router::on_wan_packet` wrote for a well-formed
+    /// inbound packet before filler crossed the WAN as a tail: a 6in4
+    /// packet's IPv4 payload behind an Ethernet header to `mac`, or an
+    /// IPv4 packet NATed to `nat_to` (`rewrite_v4`).
+    pub fn inbound_frame(packet: &[u8], mac: Mac, nat_to: (Ipv4Addr, u16)) -> Vec<u8> {
+        let p = ipv4::Packet::new_checked(packet).expect("a well-formed packet");
+        let repr = ipv4::Repr::parse(&p);
+        if repr.protocol == Protocol::Ipv6 {
+            eth(ROUTER_MAC, mac, EtherType::Ipv6, p.payload())
+        } else {
+            let rewritten = rewrite_v4(&repr, p.payload(), None, Some(nat_to));
+            eth(ROUTER_MAC, mac, EtherType::Ipv4, &rewritten)
+        }
+    }
+
+    const ROUTER_MAC: Mac = v6brick_sim::addrs::ROUTER_MAC;
 }
 
 // --- strategies --------------------------------------------------------------
@@ -622,7 +645,137 @@ proptest! {
         let repr = ipv4::Repr { payload_len: l4.len(), ..repr };
         let want = oracle::rewrite_v4(&repr, &l4, new_src, new_dst);
         let mut buf = vec![0xee; 14];
-        nat44_rewrite(&mut buf, &repr, &l4, new_src, new_dst);
+        nat44_rewrite(&mut buf, &repr, Tailed::bytes(&l4), new_src, new_dst);
         prop_assert_eq!(&buf[14..], &want[..]);
+    }
+}
+
+// --- the lazy WAN leg ----------------------------------------------------------
+
+/// A filler reply the way the Internet model sends one: a TCP segment
+/// with `header` or a UDP datagram between its ports, whose payload is
+/// `fill`, from `ips`' source to its destination, inside the tunnel when
+/// `tunnel` is set. Returns it as held headers plus the fill tail (every
+/// layer closed over the tail) and as the oracle materializes it.
+fn filler_reply(
+    ips: PseudoHeader,
+    tunnel: bool,
+    is_tcp: bool,
+    header: &tcp::Header,
+    fill: Fill,
+) -> (Tailed<Vec<u8>>, Vec<u8>) {
+    let payload = vec![fill.byte; fill.len];
+    let (protocol, l4) = if is_tcp {
+        let seg = tcp::Repr {
+            src_port: header.src_port,
+            dst_port: header.dst_port,
+            seq: header.seq,
+            ack: header.ack,
+            flags: header.flags,
+            window: header.window,
+            payload,
+        };
+        (Protocol::Tcp, oracle::tcp(&seg, ips))
+    } else {
+        let d = udp::Repr {
+            src_port: header.src_port,
+            dst_port: header.dst_port,
+            payload,
+        };
+        (Protocol::Udp, oracle::udp(&d, ips))
+    };
+    let (_, ip) = oracle::ip_packet(ips, protocol, 64, &l4);
+    let tunnel_ends = (addrs::TUNNEL_REMOTE_IPV4, addrs::ROUTER_WAN_IPV4);
+    let materialized = if tunnel {
+        oracle::encap(tunnel_ends.0, tunnel_ends.1, &ip)
+    } else {
+        ip
+    };
+
+    let mut head = Vec::new();
+    let outer = tunnel.then(|| {
+        ipv4::Repr {
+            src: tunnel_ends.0,
+            dst: tunnel_ends.1,
+            protocol: Protocol::Ipv6,
+            ttl: 64,
+            payload_len: 0,
+        }
+        .open(&mut head)
+    });
+    let ip = emit::open_ip(&mut head, ips, protocol, 64);
+    let transport = if is_tcp {
+        header.open(&mut head, ips)
+    } else {
+        udp::open(&mut head, header.src_port, header.dst_port, ips)
+    };
+    for layer in [transport, ip].into_iter().chain(outer) {
+        layer.close_over(&mut head, fill);
+    }
+    (Tailed { head, fill }, materialized)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A TCP or UDP filler reply over IPv4 (NAT44 inbound) or 6in4, with
+    /// an empty, odd or 48 KiB fill: the headers-plus-tail packet is the
+    /// materialized packet's bytes, and the LAN frame the router writes
+    /// from it, or from the materialized packet, is the old router's.
+    #[test]
+    fn lazy_wan_leg_matches_the_materialized_path(
+        tunnel in any::<bool>(),
+        is_tcp in any::<bool>(),
+        (seq, ack, flags, window) in (any::<u32>(), any::<u32>(), 0u8..0x20, any::<u16>()),
+        fill_byte in any::<u8>(),
+        fill_len in payload_len(),
+    ) {
+        let mac = Mac::new(2, 0, 0, 0, 0, 0x42);
+        let (lan_ip, lan_port) = (Ipv4Addr::new(192, 168, 1, 100), 5000);
+        let gua = mac.slaac_address(addrs::LAN_PREFIX);
+        let (remote4, remote6) = (Ipv4Addr::new(198, 18, 7, 7), "2001:db8:ffff::7".parse().unwrap());
+        let (out_ips, reply_ips) = if tunnel {
+            (PseudoHeader::V6 { src: gua, dst: remote6 }, PseudoHeader::V6 { src: remote6, dst: gua })
+        } else {
+            (
+                PseudoHeader::V4 { src: lan_ip, dst: remote4 },
+                PseudoHeader::V4 { src: remote4, dst: addrs::ROUTER_WAN_IPV4 },
+            )
+        };
+
+        // The device's request opens the NAT mapping (IPv4) or teaches
+        // the router its neighbor (IPv6).
+        let mut router = Router::new(RouterConfig::dual_stack());
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut request = Vec::new();
+        if is_tcp {
+            wire::tcp_frame(&mut request, mac, addrs::ROUTER_MAC, out_ips, &tcp::Repr::syn(lan_port, 443, 1));
+        } else {
+            wire::udp_frame(&mut request, mac, addrs::ROUTER_MAC, out_ips, lan_port, 443, b"request");
+        }
+        let mut fx = Effects::new(&mut rng);
+        router.on_frame(SimTime::ZERO, &request, &mut fx);
+        prop_assert_eq!(fx.wan.len(), 1);
+        let sent = ipv4::Packet::new_checked(&fx.wan[0][..]).unwrap();
+        let reply_port = if tunnel {
+            lan_port
+        } else {
+            u16::from_be_bytes([sent.payload()[0], sent.payload()[1]])
+        };
+
+        let header = tcp::Header { src_port: 443, dst_port: reply_port, seq, ack, flags: tcp::Flags(flags), window };
+        let fill = Fill { byte: fill_byte, len: fill_len };
+        let (lazy, materialized) = filler_reply(reply_ips, tunnel, is_tcp, &header, fill);
+        prop_assert_eq!(&lazy.view().to_vec(), &materialized);
+        prop_assert!(lazy.head.len() <= ipv4::HEADER_LEN + ipv6::HEADER_LEN + tcp::HEADER_LEN);
+
+        let want = oracle::inbound_frame(&materialized, mac, (lan_ip, lan_port));
+        for packet in [lazy.view(), Tailed::bytes(&materialized[..])] {
+            let mut fx = Effects::new(&mut rng);
+            router.on_wan_packet(SimTime::ZERO, packet, &mut fx);
+            prop_assert_eq!(router.dropped, 0);
+            prop_assert_eq!(fx.frames.len(), 1);
+            prop_assert_eq!(&fx.frames[0], &want);
+        }
     }
 }

@@ -14,6 +14,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::net::Ipv6Addr;
 use v6brick_net::ipv4::Protocol;
+use v6brick_net::tail::{Fill, Tailed};
 use v6brick_net::udp::PseudoHeader;
 use v6brick_net::{dhcpv6, ethernet, icmpv6, ipv4, ipv6, ndp, udp, Mac};
 use v6brick_sim::event::SimTime;
@@ -38,7 +39,7 @@ fn feed(bytes: &[u8]) {
         let mut rng = StdRng::seed_from_u64(7);
         let mut fx = Effects::new(&mut rng);
         router.on_frame(SimTime::from_secs(1), bytes, &mut fx);
-        router.on_wan_packet(SimTime::from_secs(1), bytes, &mut fx);
+        router.on_wan_packet(SimTime::from_secs(1), Tailed::bytes(bytes), &mut fx);
     }
 }
 
@@ -156,7 +157,7 @@ proptest! {
             let mut router = Router::new(config);
             let mut rng = StdRng::seed_from_u64(7);
             let mut fx = Effects::new(&mut rng);
-            router.on_wan_packet(SimTime::from_secs(1), &packet, &mut fx);
+            router.on_wan_packet(SimTime::from_secs(1), Tailed::bytes(&packet), &mut fx);
         }
     }
 }
@@ -229,5 +230,133 @@ proptest! {
         let (wan, dropped) = route(&frame);
         prop_assert!(wan.is_empty());
         prop_assert_eq!(dropped, 1);
+    }
+}
+
+/// A device on the LAN of a dual-stack router: its MAC and GUA.
+fn lan_device() -> (Mac, Ipv6Addr) {
+    let mac = Mac::new(2, 0, 0, 0, 0, 0x42);
+    (mac, mac.slaac_address(addrs::LAN_PREFIX))
+}
+
+/// A dual-stack router that has learned the LAN device as a neighbor
+/// (from one outbound frame of it).
+fn router_knowing_device() -> Router {
+    let mut router = Router::new(RouterConfig::dual_stack());
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut fx = Effects::new(&mut rng);
+    router.on_frame(SimTime::from_secs(1), &oversized_v6_frame(0, 0, 0), &mut fx);
+    router
+}
+
+/// An inbound 6in4 packet: a UDP reply to the LAN device whose payload is
+/// `payload_len` bytes of `fill`, followed inside the tunnel by `trailing`
+/// bytes the inner header does not declare. With `tailed`, the reply's
+/// payload and the trailing bytes stay a fill tail (trailing bytes
+/// then repeat the fill); otherwise every byte is materialized, the
+/// trailing ones as `!fill`. Returns the packet and the inner IPv6 packet
+/// the header declares.
+fn inbound_6in4(
+    payload_len: usize,
+    trailing: usize,
+    fill: u8,
+    tailed: bool,
+) -> (Tailed<Vec<u8>>, Vec<u8>) {
+    let (_, dev) = lan_device();
+    let remote: Ipv6Addr = "2001:db8:ffff::1".parse().unwrap();
+    let datagram = udp::Repr {
+        src_port: 443,
+        dst_port: 5000,
+        payload: vec![fill; payload_len],
+    }
+    .build(PseudoHeader::V6 {
+        src: remote,
+        dst: dev,
+    });
+    let inner = ipv6::Repr {
+        src: remote,
+        dst: dev,
+        next_header: Protocol::Udp,
+        hop_limit: 64,
+        payload_len: datagram.len(),
+    }
+    .build(&datagram);
+    let tunnel = ipv4::Repr {
+        src: addrs::TUNNEL_REMOTE_IPV4,
+        dst: addrs::ROUTER_WAN_IPV4,
+        protocol: Protocol::Ipv6,
+        ttl: 64,
+        payload_len: 0,
+    };
+    let packet = if tailed {
+        // The Internet model's form: headers held, the rest a tail the
+        // tunnel header's total length covers.
+        let held = ipv6::HEADER_LEN + udp::HEADER_LEN;
+        let mut head = Vec::new();
+        let open = tunnel.open(&mut head);
+        head.extend_from_slice(&inner[..held]);
+        let fill = Fill {
+            byte: fill,
+            len: payload_len + trailing,
+        };
+        open.close_over(&mut head, fill);
+        Tailed { head, fill }
+    } else {
+        let mut body = inner.clone();
+        body.resize(inner.len() + trailing, !fill);
+        Tailed::bytes(
+            ipv4::Repr {
+                payload_len: body.len(),
+                ..tunnel
+            }
+            .build(&body),
+        )
+    };
+    (packet, inner)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Inbound, the LAN frame carries exactly the inner packet its header
+    /// declares: bytes after it inside the tunnel, held or in the tail,
+    /// never reach the LAN.
+    #[test]
+    fn lan_frame_carries_exactly_the_declared_inner_packet(
+        payload_len in (any::<bool>(), 0usize..64)
+            .prop_map(|(bulk, n)| if bulk { 48 * 1024 + n % 2 } else { n }),
+        trailing in 0usize..=64,
+        fill in any::<u8>(),
+        tailed in any::<bool>(),
+    ) {
+        let (packet, inner) = inbound_6in4(payload_len, trailing, fill, tailed);
+        let mut router = router_knowing_device();
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut fx = Effects::new(&mut rng);
+        router.on_wan_packet(SimTime::from_secs(2), packet.view(), &mut fx);
+        prop_assert_eq!(router.dropped, 0);
+        prop_assert_eq!(fx.frames.len(), 1);
+        let frame = &fx.frames[0];
+        prop_assert_eq!(frame.len(), ethernet::HEADER_LEN + inner.len());
+        prop_assert_eq!(&frame[..6], lan_device().0.as_bytes());
+        prop_assert_eq!(&frame[ethernet::HEADER_LEN..], &inner[..]);
+    }
+
+    /// A packet whose declared lengths its held bytes and tail cannot
+    /// fill (a tail one or more bytes short) is dropped and counted.
+    #[test]
+    fn short_tails_are_dropped_and_counted(
+        payload_len in 1usize..2048,
+        short in 1usize..=64,
+        fill in any::<u8>(),
+    ) {
+        let (mut packet, _) = inbound_6in4(payload_len, 0, fill, true);
+        packet.fill.len = packet.fill.len.saturating_sub(short);
+        let mut router = router_knowing_device();
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut fx = Effects::new(&mut rng);
+        router.on_wan_packet(SimTime::from_secs(2), packet.view(), &mut fx);
+        prop_assert!(fx.frames.is_empty());
+        prop_assert_eq!(router.dropped, 1);
     }
 }
